@@ -63,7 +63,7 @@ class Report:
         self.params = dict(params)
         self.results = {}
         self.checks = []
-        self.started = time.time()
+        self.started = time.perf_counter()
 
     def record(self, name, value):
         self.results[name] = value
@@ -88,7 +88,7 @@ class Report:
             "results": self.results,
             "checks": self.checks,
             "version": __version__,
-            "elapsed": round(time.time() - self.started, 3),
+            "elapsed": round(time.perf_counter() - self.started, 3),
         })
 
 
@@ -430,6 +430,8 @@ def cmd_verify(args):
     else:
         raise UsageError("unknown suite %r" % args.suite)
     report.record("checks_run", len(report.checks))
+    if not report.checks:
+        report.check("nonempty sweep", "at least one check", "no checks")
     return report
 
 
@@ -649,8 +651,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+        # None until given, so each command can pick its own default
+        p.add_argument("--format", choices=("text", "json", "csv"))
         p.add_argument("--out", help="write the report to this file")
 
     p = sub.add_parser("h1", help="invariants of H^1 for a named group")
@@ -721,8 +723,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "json", False):
         args.format = "json"
-    if args.command == "pell" and "--format" not in (argv or sys.argv):
-        args.format = "json"
+    if args.format is None:
+        args.format = "json" if args.command == "pell" else "text"
     try:
         if args.command == "h1":
             report = cmd_h1(args)

@@ -1,9 +1,11 @@
 """First cohomology H^1(G, M) for a finitely presented G acting on M = Z^d.
 
 The cocycle lattice Z^1 is the integer kernel of the relator condition
-matrix, the coboundary lattice B^1 is the column span of the stacked
-(rho(g) - 1), and H^1 = Z^1 / B^1 is presented by Smith reduction of the
-coefficient matrix of B^1 in a kernel basis of Z^1.  Everything is exact.
+matrix R, and the coboundary lattice B^1 is the column span of the stacked
+(rho(g) - 1), written B.  As a kernel, Z^1 is saturated in Z^N, so the
+torsion of H^1 = Z^1 / B^1 is the torsion of Z^N / B^1: the nontrivial
+elementary divisors of B, read off one Smith form of B.  The free rank is
+dim Z^1 - rank B.  Everything is exact.
 
 The closed forms at the end of the module give the expected free ranks for
 the projective modular group and its extension by the swap, together with
@@ -14,14 +16,16 @@ divisibility, so a non-integral value raises instead of silently rounding.
 from __future__ import annotations
 
 import json
-from math import gcd, lcm
+from functools import cached_property
 
 from .linalg import (
     AbelianInvariants,
     IntMatrix,
+    SmithLattice,
     hstack,
     invert_unimodular,
     kernel_basis,
+    quotient_invariants,
     rank,
     smith_normal_form,
     solve_integer,
@@ -100,17 +104,32 @@ class Cocycle:
 
 
 class H1Result:
-    """Invariants of H^1 together with cocycles realizing the generators."""
+    """Invariants of H^1 together with cocycles realizing the generators.
 
-    __slots__ = ("invariants", "free_basis", "torsion_basis",
-                 "presentation", "rep")
+    torsion_basis holds pairs (cocycle, order).
+    """
 
-    def __init__(self, invariants, free_basis, torsion_basis, presentation, rep):
+    def __init__(self, invariants, torsion_basis, presentation, rep):
         self.invariants = invariants
-        self.free_basis = list(free_basis)
-        self.torsion_basis = list(torsion_basis)  # pairs (cocycle, order)
+        self.torsion_basis = list(torsion_basis)
         self.presentation = presentation
         self.rep = rep
+
+    @cached_property
+    def free_basis(self):
+        """Cocycles whose classes form a basis of H^1 modulo torsion.
+
+        Built on first access.  With U*C*V = S for the coordinates C of B^1
+        in a kernel basis K of Z^1, these are the columns of K*U^-1 past the
+        rank of C.
+        """
+        K, _, C = _coboundary_coordinates(self.presentation, self.rep)
+        snf = smith_normal_form(C)
+        u_inv = invert_unimodular(snf.U)
+        return [Cocycle.from_stacked(self.presentation,
+                                     K.mulvec(u_inv.column(i)),
+                                     self.rep[0].rows)
+                for i in range(snf.rank(), K.cols)]
 
 
 def coboundary_matrix(rep):
@@ -126,49 +145,42 @@ def cocycle_basis(presentation, rep):
 
 
 def h1(presentation, rep):
-    """H^1 of the presented group acting through rep, with basis lifts."""
+    """H^1 of the presented group acting through rep, with torsion lifts.
+
+    With U*B*V = S and d_i the i-th diagonal entry of S, column i of U^-1
+    is B*V[:, i] / d_i.  It lies in Z^1 because Z^1 is saturated and holds
+    B^1, and its class has order d_i.
+    """
     d = rep[0].rows
-    K = cocycle_basis(presentation, rep)
+    R = relator_condition_matrix(presentation, rep)
     B = coboundary_matrix(rep)
-    snf_k = smith_normal_form(K)
-    if snf_k.rank() != K.cols:
-        raise RuntimeError("kernel basis unexpectedly dependent")
-    diag_k = snf_k.diagonal()
-
-    def in_basis_coords(col):
-        c = snf_k.U.mulvec(col)
-        z = [0] * K.cols
-        for i in range(K.rows):
-            dk = diag_k[i] if i < len(diag_k) else 0
-            if dk:
-                q, r = divmod(c[i], dk)
-                if r:
-                    raise ValueError("vector outside the cocycle lattice")
-                z[i] = q
-            elif c[i]:
-                raise ValueError("vector outside the cocycle lattice")
-        return snf_k.V.mulvec(z)
-
-    C = IntMatrix.from_columns([in_basis_coords(col) for col in B.columns()],
-                               rows=K.cols)
-    snf_c = smith_normal_form(C)
-    diag_c = [x for x in snf_c.diagonal() if x]
-    r = len(diag_c)
-    torsion = [x for x in diag_c if x > 1]
-    invariants = AbelianInvariants(K.cols - r, tuple(torsion))
-
-    u_inv = invert_unimodular(snf_c.U)
+    if not (R * B).is_zero():
+        raise RuntimeError("coboundaries outside the cocycle lattice")
+    snf = smith_normal_form(B)
+    diag = [x for x in snf.diagonal() if x]
     torsion_basis = []
-    free_basis = []
-    for i in range(r):
-        if diag_c[i] > 1:
-            vec = K.mulvec(u_inv.column(i))
-            torsion_basis.append(
-                (Cocycle.from_stacked(presentation, vec, d), diag_c[i]))
-    for i in range(r, K.cols):
-        vec = K.mulvec(u_inv.column(i))
-        free_basis.append(Cocycle.from_stacked(presentation, vec, d))
-    return H1Result(invariants, free_basis, torsion_basis, presentation, rep)
+    for i, di in enumerate(diag):
+        if di == 1:
+            continue
+        col = B.mulvec(snf.V.column(i))
+        if any(x % di for x in col):
+            raise RuntimeError("Smith column not divisible by its entry")
+        vec = [x // di for x in col]
+        torsion_basis.append((Cocycle.from_stacked(presentation, vec, d), di))
+    invariants = AbelianInvariants(B.rows - rank(R) - len(diag),
+                                   [t for _, t in torsion_basis])
+    return H1Result(invariants, torsion_basis, presentation, rep)
+
+
+def _coboundary_coordinates(presentation, rep):
+    # A kernel basis K of Z^1, its lattice, and the matrix C whose columns
+    # are the coordinates of the columns of B in K.
+    K = cocycle_basis(presentation, rep)
+    lattice = SmithLattice(K)
+    coords = [lattice.coords(col) for col in coboundary_matrix(rep).columns()]
+    if None in coords:
+        raise RuntimeError("coboundaries outside the cocycle lattice")
+    return K, lattice, IntMatrix.from_columns(coords, rows=K.cols)
 
 
 def is_coboundary(presentation, rep, cocycle):
@@ -179,41 +191,20 @@ def is_coboundary(presentation, rep, cocycle):
 
 
 def class_order(presentation, rep, cocycle):
-    """Order of the class of the cocycle in H^1; None means infinite."""
-    d = rep[0].rows
-    K = cocycle_basis(presentation, rep)
-    B = coboundary_matrix(rep)
-    snf_k = smith_normal_form(K)
-    diag_k = snf_k.diagonal()
+    """Order of the class of the cocycle in H^1; None means infinite.
 
-    def coords(col):
-        c = snf_k.U.mulvec(col)
-        z = [0] * K.cols
-        for i in range(K.rows):
-            dk = diag_k[i] if i < len(diag_k) else 0
-            if dk:
-                q, rr = divmod(c[i], dk)
-                if rr:
-                    raise ValueError("not a cocycle for this presentation")
-                z[i] = q
-            elif c[i]:
-                raise ValueError("not a cocycle for this presentation")
-        return snf_k.V.mulvec(z)
-
-    x = coords(cocycle.stacked())
-    C = IntMatrix.from_columns([coords(col) for col in B.columns()],
-                               rows=K.cols)
-    snf_c = smith_normal_form(C)
-    diag_c = [v for v in snf_c.diagonal() if v]
-    r = len(diag_c)
-    y = snf_c.U.mulvec(x)
-    if any(y[i] for i in range(r, K.cols)):
-        return None
-    m = 1
-    for i in range(r):
-        m = lcm(m, diag_c[i] // gcd(diag_c[i], y[i]))
-    # sanity: m * b really is a coboundary
-    assert solve_integer(B, [m * v for v in cocycle.stacked()]) is not None
+    Computed in coordinates of a kernel basis of Z^1, a route independent
+    of the Smith form of B that h1 reads its invariants from.
+    """
+    _, lattice, C = _coboundary_coordinates(presentation, rep)
+    x = lattice.coords(cocycle.stacked())
+    if x is None:
+        raise ValueError("not a cocycle for this presentation")
+    m = SmithLattice(C).order(x)
+    if m is not None and solve_integer(
+            coboundary_matrix(rep),
+            [m * v for v in cocycle.stacked()]) is None:
+        raise RuntimeError("class order %d does not kill the class" % m)
     return m
 
 
@@ -273,7 +264,6 @@ def restriction_cokernel(ambient_presentation, ambient_rep,
     B_sub = coboundary_matrix(sub_rep)
     RZ = restriction_image_matrix(ambient_presentation, ambient_rep,
                                   sub_presentation, embedding)
-    from .linalg import quotient_invariants
     return quotient_invariants(Z_sub, hstack([RZ, B_sub]))
 
 
@@ -289,21 +279,28 @@ class Overgroup:
         self.embedding = embedding
 
 
-def _refutation_from_snf(M, target):
-    # A non-membership voucher for target outside the column lattice of M:
-    # a functional u and modulus m with u.M = 0 mod m but u.target != 0 mod m
-    # (m = 0 means exact vanishing).  Rows of the Smith transform provide one.
-    snf = smith_normal_form(M)
-    diag = snf.diagonal()
-    c = snf.U.mulvec(target)
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i]:
-                return list(snf.U.data[i]), 0
-        elif c[i] % d:
-            return list(snf.U.data[i]), d
-    return None
+def _refutation(M, target):
+    # The stored refutation of target lying in the column lattice of M: a
+    # functional u and modulus m with u.M = 0 mod m but u.target != 0 mod m
+    # (m = 0 means exact vanishing), and the pairing u.target.  None when
+    # target lies in the lattice.  The record is re-checked before return.
+    ref = SmithLattice(M).refute(target)
+    if ref is None:
+        return None
+    ok, pairing = _refutes(ref[0], ref[1], M, target)
+    if not ok:
+        raise RuntimeError("Smith functional does not refute membership")
+    return {"functional": ref[0], "modulus": ref[1], "pairing": pairing}
+
+
+def _refutes(u, m, M, target):
+    # (whether u, m refute membership of target in the lattice of M, u.target)
+    um = [sum(u[i] * M.data[i][j] for i in range(M.rows))
+          for j in range(M.cols)]
+    ub = sum(x * y for x, y in zip(u, target))
+    if m == 0:
+        return all(x == 0 for x in um) and ub != 0, ub
+    return all(x % m == 0 for x in um) and ub % m != 0, ub
 
 
 def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
@@ -326,25 +323,14 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
         amb_rep = og.assignment.rep(n)
         RZ = restriction_image_matrix(og.presentation, amb_rep,
                                       sub_presentation, og.embedding)
-        M = hstack([RZ, B_sub])
-        if solve_integer(M, cocycle.stacked()) is not None:
+        refutation = _refutation(hstack([RZ, B_sub]), cocycle.stacked())
+        if refutation is None:
             raise ValueError("the class extends to overgroup %r" % og.name)
-        ref = _refutation_from_snf(M, cocycle.stacked())
-        assert ref is not None
-        functional, modulus = ref
-        pairing = sum(u * v for u, v in zip(functional, cocycle.stacked()))
-        entries.append({
-            "name": og.name,
-            "generators": list(og.presentation.generators),
-            "relators": [w.format(og.presentation.generators)
-                         for w in og.presentation.relators],
-            "projective": og.assignment.projective,
-            "matrices": [list(m.entries()) for m in og.assignment.matrices],
-            "embedding": [w.format(og.presentation.generators)
-                          for w in og.embedding.words],
-            "refutation": {"functional": functional, "modulus": modulus,
-                           "pairing": pairing},
-        })
+        entry = _presentation_payload(og.presentation, og.assignment)
+        entry.update(name=og.name, refutation=refutation,
+                     embedding=[w.format(og.presentation.generators)
+                                for w in og.embedding.words])
+        entries.append(entry)
     payload = {
         "format": CERTIFICATE_FORMAT,
         "kind": "nonextendable",
@@ -362,19 +348,16 @@ def certify_noncoboundary(presentation, assignment, n, cocycle):
     R = relator_condition_matrix(presentation, rep)
     if R.mulvec(cocycle.stacked()) != [0] * R.rows:
         raise ValueError("not a cocycle")
-    B = coboundary_matrix(rep)
-    if solve_integer(B, cocycle.stacked()) is not None:
+    refutation = _refutation(coboundary_matrix(rep), cocycle.stacked())
+    if refutation is None:
         raise ValueError("the cocycle is a coboundary")
-    functional, modulus = _refutation_from_snf(B, cocycle.stacked())
-    pairing = sum(u * v for u, v in zip(functional, cocycle.stacked()))
     payload = {
         "format": CERTIFICATE_FORMAT,
         "kind": "noncoboundary",
         "degree": n,
         "subgroup": _presentation_payload(presentation, assignment),
         "cocycle": {"values": [list(v) for v in cocycle.values]},
-        "refutation": {"functional": functional, "modulus": modulus,
-                       "pairing": pairing},
+        "refutation": refutation,
     }
     return Certificate(payload)
 
@@ -485,13 +468,7 @@ class Certificate:
         if len(u) != M.rows:
             check(label, False, "functional length %d" % M.rows, len(u))
             return
-        um = [sum(u[i] * M.data[i][j] for i in range(M.rows))
-              for j in range(M.cols)]
-        ub = sum(x * y for x, y in zip(u, target))
-        if m == 0:
-            ok = all(x == 0 for x in um) and ub != 0
-        else:
-            ok = all(x % m == 0 for x in um) and ub % m != 0
+        ok, ub = _refutes(u, m, M, target)
         check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m,
               "u.b = %d" % ub)
 
@@ -518,7 +495,8 @@ def make_ba(n, a, group="sl2"):
     b = Cocycle(pres, [v, [0] * (n + 1)])
     rep = assignment.rep(n)
     R = relator_condition_matrix(pres, rep)
-    assert R.mulvec(b.stacked()) == [0] * R.rows
+    if R.mulvec(b.stacked()) != [0] * R.rows:
+        raise RuntimeError("constructed values violate the cocycle condition")
     return b
 
 
@@ -556,7 +534,8 @@ def make_beps(n, eps, group="gl2"):
     b = Cocycle(pres, [v, zero, zero])
     rep = assignment.rep(n)
     R = relator_condition_matrix(pres, rep)
-    assert R.mulvec(b.stacked()) == [0] * R.rows
+    if R.mulvec(b.stacked()) != [0] * R.rows:
+        raise RuntimeError("constructed values violate the cocycle condition")
     return b
 
 

@@ -17,6 +17,8 @@ which keeps intermediate entries small in practice.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 
 def xgcd(a, b):
     """Extended gcd.  Return (g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
@@ -363,22 +365,60 @@ def kernel_basis(A):
     return IntMatrix.from_columns(cols, rows=A.cols)
 
 
+class SmithLattice:
+    """The lattice spanned by the columns of A, read through one Smith form.
+
+    With U*A*V = S, a vector v lies in the lattice exactly when each entry
+    of U*v is divisible by the matching diagonal entry of S (entries past
+    the rank must vanish).  That one test gives coordinates, a refuting
+    functional, and the order of v modulo the lattice.
+    """
+
+    __slots__ = ("snf", "_diag")
+
+    def __init__(self, A):
+        self.snf = smith_normal_form(A)
+        diag = self.snf.diagonal()
+        self._diag = diag + [0] * (A.rows - len(diag))
+
+    def coords(self, v):
+        """Integer x with A*x = v, or None when v is outside the lattice."""
+        y = [0] * self.snf.V.rows
+        for i, (c, d) in enumerate(zip(self.snf.U.mulvec(v), self._diag)):
+            if d:
+                q, r = divmod(c, d)
+                if r:
+                    return None
+                y[i] = q
+            elif c:
+                return None
+        return self.snf.V.mulvec(y)
+
+    def refute(self, v):
+        """A non-membership voucher for v, or None when v is in the lattice.
+
+        Returns (u, m): a row of U with u.A = 0 mod m but u.v != 0 mod m,
+        where m = 0 means exact vanishing.
+        """
+        for i, (c, d) in enumerate(zip(self.snf.U.mulvec(v), self._diag)):
+            if c % d if d else c:
+                return list(self.snf.U.data[i]), d
+        return None
+
+    def order(self, v):
+        """Order of v modulo the lattice; None means infinite."""
+        m = 1
+        for c, d in zip(self.snf.U.mulvec(v), self._diag):
+            if d:
+                m = lcm(m, d // gcd(d, c))
+            elif c:
+                return None
+        return m
+
+
 def solve_integer(A, b):
     """One integer solution x of A*x = b, or None when none exists."""
-    snf = smith_normal_form(A)
-    c = snf.U.mulvec(b)
-    y = [0] * A.cols
-    diag = snf.diagonal()
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            q, r = divmod(c[i], d)
-            if r:
-                return None
-            y[i] = q
-        elif c[i]:
-            return None
-    return snf.V.mulvec(y)
+    return SmithLattice(A).coords(b)
 
 
 def invert_unimodular(M):
@@ -463,35 +503,12 @@ def quotient_invariants(K, B):
     the lattice spanned by K; a column outside it raises ValueError, since the
     quotient would not be defined.
     """
-    if K.cols == 0:
-        if B.cols and not B.is_zero():
-            raise ValueError("columns of B outside the lattice of K")
-        return AbelianInvariants(0)
-    snf = smith_normal_form(K)
-    if snf.rank() != K.cols:
+    lattice = SmithLattice(K)
+    if lattice.snf.rank() != K.cols:
         raise ValueError("columns of K are not independent")
-    diag = snf.diagonal()
-    coeffs = []
-    for bcol in B.columns():
-        c = snf.U.mulvec(bcol)
-        y = [0] * K.cols
-        for i in range(K.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                q, r = divmod(c[i], d)
-                if r:
-                    raise ValueError("columns of B outside the lattice of K")
-                y[i] = q
-            elif c[i]:
-                raise ValueError("columns of B outside the lattice of K")
-        coeffs.append(y)
+    coeffs = [lattice.coords(col) for col in B.columns()]
+    if None in coeffs:
+        raise ValueError("columns of B outside the lattice of K")
     C = IntMatrix.from_columns(coeffs, rows=K.cols)
-    return _cokernel_invariants(C)
-
-
-def _cokernel_invariants(C):
-    # Invariants of Z^rows(C) / column lattice of C.
-    snf = smith_normal_form(C)
-    diag = [d for d in snf.diagonal() if d]
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(C.rows - len(diag), torsion)
+    diag = [d for d in smith_normal_form(C).diagonal() if d]
+    return AbelianInvariants(K.cols - len(diag), [d for d in diag if d > 1])

@@ -145,6 +145,14 @@ class TestPell:
         assert [1, 1] in payload["results"]["representatives"]
         assert checks_pass(payload)
 
+    @pytest.mark.parametrize("fmt", [["--format=text"], ["--format", "text"]])
+    def test_explicit_text_format(self, capsys, fmt):
+        # both spellings of the option override the JSON default
+        assert main(["pell", "--d", "7"] + fmt) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("pell (modh1 ")
+        assert "all checks pass" in out
+
     def test_square_is_usage_error(self, capsys):
         assert main(["pell", "--d", "9"]) == 2
 
@@ -207,6 +215,14 @@ class TestVerifySuites:
                                           "--n-max", "12"])
         assert code == 0
         assert payload["params"]["jobs"] == 2
+
+    def test_empty_sweep_fails(self, capsys):
+        code, payload = run_json(capsys, ["verify", "--suite", "formulas",
+                                          "--n-even", "40..2"])
+        assert code == 1
+        assert payload["results"]["checks_run"] == 0
+        assert [c["name"] for c in payload["checks"]] == ["nonempty sweep"]
+        assert not checks_pass(payload)
 
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "formulas",

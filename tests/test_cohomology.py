@@ -11,6 +11,10 @@ finite.  That route never touches the presentation machinery.
 import json
 
 import pytest
+from sympy import QQ, ZZ
+from sympy import Matrix as SymMatrix
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from modh1.cohomology import (
     Certificate,
@@ -38,9 +42,23 @@ from modh1.cohomology import (
     beps_count,
     w_invariant_h1_rank,
 )
-from modh1.linalg import IntMatrix, hstack, kernel_basis, quotient_invariants, rank, vstack
+from modh1.congruence import lift_to_sl2, schreier_free_basis
+from modh1.linalg import (
+    AbelianInvariants,
+    IntMatrix,
+    hstack,
+    kernel_basis,
+    quotient_invariants,
+    rank,
+    vstack,
+)
 from modh1.polyrep import GEN_S, GEN_T, GEN_W, common_fixed_dim, rho_matrix
-from modh1.presentations import Embedding, Presentation, builtin
+from modh1.presentations import (
+    Embedding,
+    Presentation,
+    builtin,
+    relator_condition_matrix,
+)
 
 
 def fixed_sublattice(mat):
@@ -174,6 +192,53 @@ class TestModularGroupH1:
             assert class_order(pres, rep, c) is None
         for c, order in res.torsion_basis:
             assert class_order(pres, rep, c) == order
+
+
+# Projective presentations act only in even degree.
+CROSS_CHECK_CASES = [(g, n) for g in ("psl2", "sl2", "pgl2", "gl2")
+                     for n in range(1, 25) if g in ("sl2", "gl2") or n % 2 == 0]
+
+
+class TestInvariantRoutes:
+    """h1 reads its invariants off one Smith form of B, the stacked
+    (rho(g) - 1).  Two other routes recompute them: the quotient Z^1 / B^1
+    in coordinates of a kernel basis (Smith forms of K and of the coordinate
+    matrix), and sympy's invariant factors of B with sympy's rank of R."""
+
+    @pytest.mark.parametrize("group,n", CROSS_CHECK_CASES)
+    def test_invariants_and_torsion_generators(self, group, n):
+        pres, assignment = builtin(group)
+        rep = assignment.rep(n)
+        res = h1(pres, rep)
+        B = coboundary_matrix(rep)
+        R = relator_condition_matrix(pres, rep)
+        assert res.invariants == quotient_invariants(cocycle_basis(pres, rep), B)
+        factors = [int(f) for f in invariant_factors(SymMatrix(B.data)) if f]
+        rank_r = DomainMatrix.from_list(R.data, ZZ).convert_to(QQ).rank()
+        free = B.rows - rank_r - len(factors)
+        assert res.invariants == AbelianInvariants(
+            free, [f for f in factors if f > 1])
+        assert [order for _, order in res.torsion_basis] \
+            == list(res.invariants.torsion)
+        for c, order in res.torsion_basis:
+            assert R.mulvec(c.stacked()) == [0] * R.rows
+            assert class_order(pres, rep, c) == order
+
+    def test_free_basis_of_free_group(self):
+        pres, assignment = builtin("free:2")
+        rep = assignment.rep(2)
+        res = h1(pres, rep)
+        assert len(res.free_basis) == res.invariants.free_rank == 3
+        for c in res.free_basis:
+            assert class_order(pres, rep, c) is None
+
+    def test_free_basis_of_congruence_lift(self):
+        lift = lift_to_sl2(schreier_free_basis(11))
+        rep = lift.assignment.rep(1)
+        res = h1(lift.presentation, rep)
+        assert len(res.free_basis) == res.invariants.free_rank == 4
+        for c in res.free_basis:
+            assert class_order(lift.presentation, rep, c) is None
 
 
 class TestDimensionFormulas:

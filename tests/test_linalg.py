@@ -6,6 +6,7 @@ from sympy.matrices.normalforms import invariant_factors
 from modh1.linalg import (
     AbelianInvariants,
     IntMatrix,
+    SmithLattice,
     hermite_normal_form,
     hstack,
     invert_unimodular,
@@ -191,6 +192,40 @@ def test_kernel_properties_random():
         # the basis matrix has all invariant factors 1.
         if k.cols:
             assert sym_invariant_factors(k) == [1] * k.cols
+
+
+def test_smith_lattice_against_brute_force():
+    # 2x2 lattices: membership of v is decided by a search over coefficients
+    # in [-36, 36], which holds a solution of these small systems when one
+    # exists (|adj(a) v| <= 36).  The order is then checked through coords.
+    rng = random.Random(5)
+    for _ in range(60):
+        a = random_matrix(rng, 2, 2, bound=3)
+        lattice = SmithLattice(a)
+        members = {tuple(a.mulvec([x0, x1]))
+                   for x0 in range(-36, 37) for x1 in range(-36, 37)}
+        for _ in range(5):
+            v = [rng.randint(-6, 6), rng.randint(-6, 6)]
+            x = lattice.coords(v)
+            ref = lattice.refute(v)
+            assert (x is not None) == (tuple(v) in members) == (ref is None)
+            if x is not None:
+                assert a.mulvec(x) == v
+            else:
+                u, m = ref
+                ua = [sum(ui * row[j] for ui, row in zip(u, a.data))
+                      for j in range(a.cols)]
+                uv = sum(ui * vi for ui, vi in zip(u, v))
+                assert all(y % m == 0 for y in ua) if m else not any(ua)
+                assert (uv % m if m else uv) != 0
+            m = lattice.order(v)
+            multiples = [lattice.coords([k * y for y in v])
+                         for k in range(1, 7 if m is None else m + 1)]
+            assert all(x is None for x in multiples[:-1])
+            if m is None:
+                assert multiples[-1] is None
+            else:
+                assert a.mulvec(multiples[-1]) == [m * y for y in v]
 
 
 def test_invert_unimodular():
