@@ -8,7 +8,10 @@ these into C6, Z x C2, and the semidirect product Z x| C4 in which the
 order-4 generator inverts Z.  For a hyperbolic matrix the choice between
 Z and the dihedral type is decided exactly: it asks for a trace-zero
 integral matrix conjugating the element to its inverse, which unwinds to
-a generalized Pell equation handled by the pell module.
+a generalized Pell equation handled by the pell module.  The equation is
+solved for a Lagrange-reduced conjugate of the element, whose filter
+modulus is bounded by the discriminant, and the witness is conjugated
+back (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import gcd
 
 from .linalg import xgcd
 from .pell import solve_norm_equation
-from .polyrep import Mat2
+from .polyrep import GEN_S, Mat2
 
 PSL_C2 = "C2"
 PSL_C3 = "C3"
@@ -178,6 +181,65 @@ def qform(g):
     return form
 
 
+def _reduce(g):
+    """Conjugate a hyperbolic g to h g h^-1 = (a b; c d), |d-a| <= |b| <= |c|.
+
+    Returns (h, h g h^-1).  This is Lagrange reduction of the attached
+    form (b, d - a, -c): conjugating by T^k keeps c and moves d - a by
+    -2 k c, conjugating by S sends (a b; c d) to (d -c; -b a).  T lands
+    d - a in the half-open (-|c|, |c|] and only runs when |d - a| > |c|;
+    every S that does not finish strictly shrinks |c|, so the loop ends
+    after O(log) rounds, and already reduced input is returned with
+    h = 1.
+    """
+    h = Mat2.identity()
+    while not abs(g.d - g.a) <= abs(g.b) <= abs(g.c):
+        m, c = g.d - g.a, abs(g.c)
+        if abs(m) > c:
+            k = -((c - m) // (2 * c))
+            step = Mat2(1, k if g.c > 0 else -k, 0, 1)
+        else:
+            step = GEN_S
+        g = step * g * step.inv()
+        h = step * h
+    return h, g
+
+
+def _pell_witnesses(g):
+    """Every witness the filtered norm equation gives for g, checked."""
+    a, b, c, d = g.entries()
+    if b == 0 or c == 0:
+        # b = 0 with det 1 forces a = d = +-1 and trace +-2, likewise c.
+        raise RuntimeError("hyperbolic matrix cannot have a zero corner")
+    disc = (a + d) ** 2 - 4
+    m = d - a
+    filters = (
+        (1, -m, 2 * abs(b)),
+        (m, -(m * m + 2 * b * c), 2 * b * b),
+    )
+    # the bare fundamental-solution window already makes emptiness a
+    # proof; the cover widening only serves the pell module's short-walk
+    # oracle and would slow the congruence scan down here
+    reps, _ = solve_norm_equation(disc, -4 * b * b, filters=filters, cover=0)
+    out = []
+    for u, y in reps:
+        x, r = divmod(u - m * y, 2 * b)
+        if r:
+            raise RuntimeError("congruence filter failed to make x integral")
+        z, r = divmod(m * x - c * y, b)
+        if r:
+            raise RuntimeError("congruence filter failed to make z integral")
+        witness = Mat2(x, y, z, -x)
+        if witness.det() != 1 or witness * g != g.inv() * witness:
+            raise RuntimeError("norm equation solution is not a witness")
+        out.append(witness)
+    return out
+
+
+def _witness_key(w):
+    return (max(abs(t) for t in w.entries()), w.entries())
+
+
 def dinf_decision(g):
     """Trace-zero integral B with B g B^-1 = g^-1, or None if none exists.
 
@@ -198,41 +260,40 @@ def dinf_decision(g):
     norm equation under exactly these congruence filters, so an empty
     answer is a proof that no witness exists.
 
+    The scan costs grow with the filter modulus 2 b^2, so the equation is
+    solved for the reduced conjugate h g h^-1 of _reduce instead: there
+    |d - a| <= |b| <= |c| forces b c > 0 and D >= 4 b^2, so the modulus
+    is at most D/2 whatever the entries of g.  B is a witness for
+    h g h^-1 exactly when h^-1 B h is one for g.  Witnesses are closed
+    under B -> +-g^{+-1} B, and the returned one is walked along that
+    orbit while (max |entry|, entries) drops.
+
     A sign-twisted conjugation B g B^-1 = -g^-1 would force trace(g) = 0
     by comparing traces, impossible for hyperbolic g, so it is not
     searched.
     """
     if classify(g).tag != "hyperbolic":
         raise ValueError("dihedral decision requires a hyperbolic matrix")
-    a, b, c, d = g.entries()
-    if b == 0 or c == 0:
-        # b = 0 with det 1 forces a = d = +-1 and trace +-2, likewise c.
-        raise RuntimeError("hyperbolic matrix cannot have a zero corner")
-    disc = (a + d) ** 2 - 4
-    m = d - a
-    filters = (
-        (1, -m, 2 * abs(b)),
-        (m, -(m * m + 2 * b * c), 2 * b * b),
-    )
-    # the bare fundamental-solution window already makes emptiness a
-    # proof; the cover widening only serves the pell module's short-walk
-    # oracle and would slow the congruence scan down here
-    reps, _ = solve_norm_equation(disc, -4 * b * b, filters=filters, cover=0)
-    best = None
-    for u, y in reps:
-        x, r = divmod(u - m * y, 2 * b)
-        if r:
-            raise RuntimeError("congruence filter failed to make x integral")
-        z, r = divmod(m * x - c * y, b)
-        if r:
-            raise RuntimeError("congruence filter failed to make z integral")
-        witness = Mat2(x, y, z, -x)
-        if witness.det() != 1 or witness * g != g.inv() * witness:
-            raise RuntimeError("norm equation solution is not a witness")
-        key = (max(abs(t) for t in witness.entries()), witness.entries())
-        if best is None or key < best[0]:
-            best = (key, witness)
-    return None if best is None else best[1]
+    h, reduced = _reduce(g)
+    if reduced != h * g * h.inv():
+        raise RuntimeError("reduction is not a conjugation")
+    found = _pell_witnesses(reduced)
+    if not found:
+        return None
+    h_inv = h.inv()
+    best = min((h_inv * w * h for w in found), key=_witness_key)
+    g_inv = g.inv()
+    for step in (g, g_inv):
+        while True:
+            moved = step * best
+            moved = min(moved, -moved, key=_witness_key)
+            if _witness_key(moved) >= _witness_key(best):
+                break
+            best = moved
+    if (best.det() != 1 or best.trace() != 0
+            or best * g != g_inv * best):
+        raise RuntimeError("conjugated witness does not invert the input")
+    return best
 
 
 def parabolic_generator(g):

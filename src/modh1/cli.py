@@ -5,7 +5,8 @@ oracle sweeps), witness (certificate construction and self-check),
 classify (element and maximal amenable type), pell (equation solving),
 and verify-certificate (re-check a stored certificate file).  Reports
 are printed as text, JSON, or CSV; exit status is 0 when every check
-passes, 1 on a failed mathematical check, and 2 on usage errors.
+passes, 1 on a failed mathematical check (a refused claim or a failed
+internal consistency check included), and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .cohomology import (
 )
 from .congruence import (
     certify_membership_sample,
+    check_sample_fields,
     find_torsion,
     lift_to_sl2,
     schreier_free_basis,
@@ -159,15 +161,17 @@ def _parse_range(text):
 
 
 def _job_count(args):
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get("MODH1_JOBS", "")
-    if env.strip():
+    """Worker count from --jobs or MODH1_JOBS, clamped to 1..cpu_count."""
+    jobs = getattr(args, "jobs", None)
+    if not jobs:
+        env = os.environ.get("MODH1_JOBS", "")
+        if not env.strip():
+            return 1
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise UsageError("MODH1_JOBS must be an integer, got %r" % env)
-    return 1
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def _pmap(fn, items, jobs):
@@ -472,7 +476,11 @@ def _witness_ba(args, rest, report):
     cocycle = make_ba(n, a)
     sub_pres, sub_assign = builtin("sl2")
     over = _gl2_overgroup()
-    cert = certify_nonextendable(sub_pres, sub_assign, n, cocycle, [over])
+    try:
+        cert = certify_nonextendable(sub_pres, sub_assign, n, cocycle, [over])
+    except ValueError as e:
+        report.check("class is nonextendable", "refuted", str(e))
+        return None
     cok = restriction_cokernel(over.presentation, over.assignment.rep(n),
                                sub_pres, sub_assign.rep(n), over.embedding)
     report.record("cokernel", _invariants_payload(cok))
@@ -491,8 +499,12 @@ def _witness_beps(args, rest, report):
         raise UsageError("the zero vector gives a coboundary")
     cocycle = make_beps(n, eps)
     pres, assignment = builtin("gl2")
-    cert = certify_noncoboundary(pres, assignment, n, cocycle)
     report.record("epsilon", eps)
+    try:
+        cert = certify_noncoboundary(pres, assignment, n, cocycle)
+    except ValueError as e:
+        report.check("cocycle is not a coboundary", "refuted", str(e))
+        return None
     return cert
 
 
@@ -509,9 +521,12 @@ def cmd_witness(args):
     elif base == "beps":
         cert = _witness_beps(args, rest, report)
     elif base == "gammaN":
+        N = int(rest)
+        # out-of-range sample sizes are usage errors, not failed claims
+        check_sample_fields(N, args.count, args.max_length)
         try:
             cert = certify_membership_sample(
-                int(rest), seed=args.seed, count=args.count,
+                N, seed=args.seed, count=args.count,
                 max_length=args.max_length)
         except ValueError as e:
             report.check("membership sample clean", "no mismatches", str(e))
@@ -744,6 +759,11 @@ def main(argv=None):
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        # an internal consistency check tripped: a failed check, not a
+        # usage error and not a traceback
+        report = Report(args.command, {})
+        report.check("internal consistency", "no error", str(e))
     _emit(report, args)
     return 0 if report.ok() else 1
 

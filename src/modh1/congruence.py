@@ -505,6 +505,24 @@ def _sample_words(seed, count, max_length):
         yield g
 
 
+# A sample costs about count * max_length / 2 matrix products; these
+# bounds keep the recount of an untrusted certificate to seconds.
+SAMPLE_MAX_MODULUS = 10 ** 9
+SAMPLE_MAX_COUNT = 10 ** 5
+SAMPLE_MAX_LENGTH = 100
+
+
+def check_sample_fields(N, count, max_length):
+    """Raise ValueError unless the sample parameters are within bounds."""
+    for name, value, lo, hi in (("modulus", N, 1, SAMPLE_MAX_MODULUS),
+                                ("count", count, 1, SAMPLE_MAX_COUNT),
+                                ("max_length", max_length, 1,
+                                 SAMPLE_MAX_LENGTH)):
+        if not lo <= value <= hi:
+            raise ValueError("%s must lie in [%d, %d], got %d"
+                             % (name, lo, hi, value))
+
+
 def membership_mismatches(N, seed=0, count=10000, max_length=20):
     """Count sampled words where bN integrality and membership disagree."""
     bad = 0
@@ -524,6 +542,7 @@ def certify_membership_sample(N, seed=0, count=10000, max_length=20):
     """
     from .cohomology import CERTIFICATE_FORMAT, Certificate
 
+    check_sample_fields(N, count, max_length)
     mismatches = membership_mismatches(N, seed, count, max_length)
     if mismatches:
         raise ValueError("characterization failed on %d words" % mismatches)
@@ -547,6 +566,7 @@ def verify_membership_sample_payload(payload, check):
         count = int(payload["count"])
         max_length = int(payload["max_length"])
         claimed = int(payload["mismatches"])
+        check_sample_fields(N, count, max_length)
     except (KeyError, TypeError, ValueError) as e:
         check("payload fields", False, actual=repr(e))
         return

@@ -219,24 +219,6 @@ def _filters_pass(filters, u, y):
     return all((cu * u + cy * y) % m == 0 for cu, cy, m in filters)
 
 
-def _automorph_power(D, x1, y1, k):
-    """The matrix (x1, D y1; y1, x1) raised to an integer power k."""
-    if k < 0:
-        m = (x1, -D * y1, -y1, x1)
-        k = -k
-    else:
-        m = (x1, D * y1, y1, x1)
-    r = (1, 0, 0, 1)
-    while k:
-        if k & 1:
-            r = (r[0] * m[0] + r[1] * m[2], r[0] * m[1] + r[1] * m[3],
-                 r[2] * m[0] + r[3] * m[2], r[2] * m[1] + r[3] * m[3])
-        m = (m[0] * m[0] + m[1] * m[2], m[0] * m[1] + m[1] * m[3],
-             m[2] * m[0] + m[3] * m[2], m[2] * m[1] + m[3] * m[3])
-        k >>= 1
-    return r
-
-
 def solve_norm_equation(D, N, filters=(), cover=10 ** 4):
     """Solutions of u^2 - D y^2 = N modulo the pell4 automorph.
 
@@ -311,17 +293,26 @@ def solve_norm_equation(D, N, filters=(), cover=10 ** 4):
 
     # scan each orbit period on residues only, then rebuild the exact
     # hits through the nearer end of the period so entries stay as small
-    # as the orbit allows
+    # as the orbit allows: one exact walk forward to the last hit with
+    # k <= e/2 and one backward (y1 -> -y1) to the last hit beyond it
+    half = e // 2
     out = set()
     for u0, y0 in reps:
         u, y = u0 % modulus, y0 % modulus
-        hits = []
+        forward, backward = set(), set()
         for k in range(e):
             if _filters_pass(filters, u, y):
-                hits.append(k)
+                if k <= half:
+                    forward.add(k)
+                else:
+                    backward.add(e - k)
             u, y = (x1 * u + D * y1 * y) % modulus, (y1 * u + x1 * y) % modulus
-        for k in hits:
-            step = _automorph_power(D, x1, y1, k if 2 * k <= e else k - e)
-            out.add((step[0] * u0 + step[1] * y0,
-                     step[2] * u0 + step[3] * y0))
+        if 0 in forward:
+            out.add((u0, y0))
+        for s, steps in ((y1, forward), (-y1, backward)):
+            u, y = u0, y0
+            for j in range(1, max(steps, default=0) + 1):
+                u, y = x1 * u + D * s * y, s * u + x1 * y
+                if j in steps:
+                    out.add((u, y))
     return sorted(out), aut

@@ -7,13 +7,17 @@ trusted from the solver.
 """
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modh1.amenable import (
     AmenableTypeReport,
     ElementClass,
     QForm,
+    _reduce,
     classify,
     dinf_decision,
     max_amenable_type,
@@ -43,6 +47,16 @@ def assert_valid_witness(witness, g):
     assert witness.trace() == 0
     assert witness.det() == 1
     assert witness * g == g.inv() * witness
+
+
+def assert_locally_minimal(witness, g):
+    """No step B -> +-g^{+-1} B along the witness orbit shrinks B."""
+    def key(w):
+        return (max(abs(t) for t in w.entries()), w.entries())
+
+    for step in (g, g.inv()):
+        for moved in (step * witness, -(step * witness)):
+            assert key(moved) >= key(witness)
 
 
 def random_unimodular(rng, steps=6):
@@ -211,11 +225,89 @@ class TestDinfDecision:
                 assert_valid_witness(brute, g)
                 assert witness is not None
 
+    def test_corpus_witnesses_locally_minimal(self):
+        for g in hyperbolic_corpus(200):
+            witness = dinf_decision(g)
+            if witness is not None:
+                assert_locally_minimal(witness, g)
+
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
             dinf_decision(Mat2(1, 1, 0, 1))
         with pytest.raises(ValueError):
             dinf_decision(GEN_T)
+
+    def test_covariance_cases_are_fast(self):
+        # the conjugates of test_conjugation_covariance, plus one that
+        # took seconds when the equation was solved on the input itself
+        rng = random.Random(4)
+        cases = [Mat2(125, 151, -101, -122)]
+        for g in (Mat2(2, 1, 1, 1), Mat2(3, 1, 2, 1), Mat2(5, 2, 2, 1)):
+            cases.append(g)
+            for _ in range(4):
+                h = random_unimodular(rng)
+                cases.append(h * g * h.inv())
+        for g in cases:
+            start = time.perf_counter()
+            dinf_decision(g)
+            assert time.perf_counter() - start < 0.1, g
+
+
+# a few corpus bases of each type, and conjugating words far longer than
+# the filter scan on the unreduced input could finish in test time
+COVARIANCE_BASES = [Mat2(2, 1, 1, 1), Mat2(3, 1, 2, 1), Mat2(5, 2, 2, 1),
+                    Mat2(8, -1, 41, -5), Mat2(-6, -1, -11, -2),
+                    Mat2(3, 1, -25, -8)]
+
+
+def long_conjugator():
+    """Words T^k1 S T^k2 S ... of 24 to 30 letters, 3 <= |k| <= 9.
+
+    T^k S = (k -1; 1 0), and with |k| >= 3 each factor at least doubles
+    the first column, so the entries pass 2^12.
+    """
+    ks = st.lists(st.integers(3, 9).flatmap(lambda k: st.sampled_from((k, -k))),
+                  min_size=12, max_size=15)
+
+    def word(ks):
+        out = IDENT
+        for k in ks:
+            out = out * Mat2(1, k, 0, 1) * GEN_S
+        return out
+
+    return ks.map(word)
+
+
+class TestReduction:
+    def test_identity_on_reduced_input(self):
+        # (2 1; 1 1) sits on the boundary d - a = -|c|
+        for g in (Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 2), Mat2(2, 1, 3, 2),
+                  Mat2(4, 3, 5, 4), Mat2(3, 2, 7, 5), Mat2(-3, 2, 4, -3),
+                  Mat2(-2, -1, -1, -1)):
+            assert abs(g.d - g.a) <= abs(g.b) <= abs(g.c)
+            assert _reduce(g) == (IDENT, g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(base=st.sampled_from(COVARIANCE_BASES), h=long_conjugator())
+    def test_reduced_form(self, base, h):
+        g = h * base * h.inv()
+        conj, reduced = _reduce(g)
+        assert conj.det() == 1
+        assert reduced == conj * g * conj.inv()
+        assert abs(reduced.d - reduced.a) <= abs(reduced.b) <= abs(reduced.c)
+        assert reduced.b * reduced.c > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(base=st.sampled_from(COVARIANCE_BASES), h=long_conjugator())
+    def test_long_conjugates_keep_the_decision(self, base, h):
+        g = h * base * h.inv()
+        assert max(abs(t) for t in g.entries()) > 10 ** 6
+        expected = dinf_decision(base)
+        witness = dinf_decision(g)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
+            assert_valid_witness(witness, g)
+            assert_locally_minimal(witness, g)
 
 
 class TestParabolicGenerator:

@@ -1,10 +1,13 @@
 """Tests for the command line front end."""
 
+import argparse
 import json
+import os
 
 import pytest
 
-from modh1.cli import main
+import modh1.cli
+from modh1.cli import _job_count, main
 
 
 def run_json(capsys, args):
@@ -118,6 +121,17 @@ class TestClassify:
     def test_malformed_matrix_is_usage_error(self, capsys):
         assert main(["classify", "--matrix", "1,2,3,4"]) == 2
 
+    def test_internal_error_is_failed_check(self, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("consistency check tripped")
+
+        monkeypatch.setattr(modh1.cli, "max_amenable_type", broken)
+        code, payload = run_json(capsys, ["classify", "--matrix", "2,1;1,1"])
+        assert code == 1
+        assert payload["checks"] == [{
+            "name": "internal consistency", "expected": "no error",
+            "actual": "consistency check tripped", "pass": False}]
+
 
 class TestPell:
     def test_json_by_default(self, capsys):
@@ -209,6 +223,16 @@ class TestVerifySuites:
                                         "--n-even", "2..12", "--jobs", "2"])
         assert serial["checks"] == parallel["checks"]
 
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        # _job_count only computes the number; no pool is started here
+        cpus = os.cpu_count() or 1
+        assert _job_count(argparse.Namespace(jobs=100000)) == cpus
+        assert _job_count(argparse.Namespace(jobs=-3)) == 1
+        monkeypatch.setenv("MODH1_JOBS", "100000")
+        assert _job_count(argparse.Namespace(jobs=None)) == cpus
+        monkeypatch.setenv("MODH1_JOBS", "0")
+        assert _job_count(argparse.Namespace(jobs=None)) == 1
+
     def test_jobs_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MODH1_JOBS", "2")
         code, payload = run_json(capsys, ["verify", "--suite", "identity",
@@ -278,6 +302,22 @@ class TestWitness:
         assert code == 0
         assert payload["results"]["epsilon"] == [1]
         assert checks_pass(payload)
+
+    def test_extending_class_is_refused(self, capsys, tmp_path):
+        cert = tmp_path / "ba.json"
+        code, payload = run_json(capsys, ["witness", "--kind", "ba:2,0",
+                                          "--cert", str(cert)])
+        assert code == 1
+        assert payload["checks"] == [{
+            "name": "class is nonextendable", "expected": "refuted",
+            "actual": "the class extends to overgroup 'gl2'", "pass": False}]
+        assert not cert.exists()
+
+    def test_oversized_sample_is_usage_error(self, capsys, tmp_path):
+        assert main(["witness", "--kind", "gammaN:5", "--count",
+                     str(10 ** 12), "--cert", str(tmp_path / "x.json")]) == 2
+        assert main(["witness", "--kind", "gammaN:0",
+                     "--cert", str(tmp_path / "x.json")]) == 2
 
     def test_beps_zero_vector_is_usage_error(self, capsys, tmp_path):
         assert main(["witness", "--kind", "beps:4,0",

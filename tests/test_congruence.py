@@ -9,6 +9,7 @@ congruence conditions word by word.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -119,6 +120,23 @@ class TestMembership:
         bad["mismatches"] = 1
         checks = Certificate(bad).verify()
         assert not all(c["pass"] for c in checks)
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 10 ** 12), ("count", -1), ("max_length", 10 ** 9),
+        ("modulus", 0), ("modulus", 10 ** 30)])
+    def test_sample_certificate_out_of_bounds(self, field, value):
+        cert = certify_membership_sample(3, count=50)
+        bad = dict(cert.payload)
+        bad[field] = value
+        start = time.perf_counter()
+        checks = Certificate(bad).verify()
+        assert time.perf_counter() - start < 1
+        assert [(c["name"], c["pass"]) for c in checks] == [
+            ("payload fields", False)]
+
+    def test_sample_bounds_apply_when_certifying(self):
+        with pytest.raises(ValueError):
+            certify_membership_sample(3, count=10 ** 12)
 
 
 class TestCosetTable:

@@ -7,7 +7,7 @@ every brute-force solution back onto a representative with a few automorph
 steps.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -167,6 +167,48 @@ class TestSolveNormEquation:
         for u, y in reps:
             assert u * u - 5 * y * y == -4
             assert (u + y) % 2 == 0
+
+    def test_filtered_matches_stepwise_reference(self):
+        # reference: every point of each representative's orbit period,
+        # reached by single steps through the nearer end of the period
+        def reference(D, N, filters):
+            reps, aut = solve_norm_equation(D, N, cover=0)
+            x1, y1 = pell_plus(D).pair()
+            modulus = 1
+            for _, _, m in filters:
+                modulus = modulus * m // gcd(modulus, m)
+            e, u, y = 1, x1 % modulus, y1 % modulus
+            while (u, y) != (1, 0):
+                u, y = (x1 * u + D * y1 * y) % modulus, (y1 * u + x1 * y) % modulus
+                e += 1
+            out = set()
+            for u0, y0 in reps:
+                for k in range(e):
+                    s, steps = (y1, k) if 2 * k <= e else (-y1, e - k)
+                    u, y = u0, y0
+                    for _ in range(steps):
+                        u, y = x1 * u + D * s * y, s * u + x1 * y
+                    if all((cu * u + cy * y) % m == 0 for cu, cy, m in filters):
+                        out.add((u, y))
+            return sorted(out), aut
+
+        # hits two steps out on both sides: period 6 and 12, hits at
+        # k = 1, 2, 4, 5 and k = 2, 3, 8, 9
+        cases = [(2, -4, [(0, 1, 5)]), (2, -4, [(1, 2, 9)]),
+                 (5, -4, [(1, 1, 2)]), (3, 1, [(1, 0, 2), (0, 1, 2)]),
+                 (13, -12, [(1, 1, 3)]), (21, -36, [(1, 1, 6), (1, 0, 4)])]
+        # the dihedral-decision filters of (a b; c d) = (3 1; -25 -8) and
+        # (8 -1; 41 -5)
+        for a, b, c, d in ((3, 1, -25, -8), (8, -1, 41, -5)):
+            m = d - a
+            cases.append(((a + d) ** 2 - 4, -4 * b * b,
+                          [(1, -m, 2 * abs(b)),
+                           (m, -(m * m + 2 * b * c), 2 * b * b)]))
+        for D, N, filters in cases:
+            reps, aut = solve_norm_equation(D, N, filters=filters, cover=0)
+            expected, _ = reference(D, N, filters)
+            assert reps == expected, (D, N, filters)
+            assert aut.pair() == pell4(D).pair()
 
     def test_filter_can_empty(self):
         # both coordinates even would force norm 0 mod 4, never 1
