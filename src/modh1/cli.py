@@ -389,32 +389,30 @@ def _amenable_trio_checks(report):
                  "1,1;0,1", parabolic.generator.format())
 
 
+def _evens(lo, hi):
+    return [n for n in range(lo, hi + 1) if n % 2 == 0]
+
+
+# suite -> (the parameter that bounds it, the checks for one value, the
+# values from the parameter)
+_SWEEPS = {
+    "formulas": ("n_even", _formulas_case,
+                 lambda text: _evens(*_parse_range(text))),
+    "identity": ("n_max", _identity_case, lambda n_max: _evens(2, n_max)),
+    "congruence": ("p_max", _congruence_case,
+                   lambda p_max: [p for p in _primes_up_to(p_max) if p > 3]),
+    "pell": ("d_max", _pell_case, _nonsquares_up_to),
+}
+
+
 def cmd_verify(args):
     jobs = _job_count(args)
     report = Report("verify", {"suite": args.suite, "jobs": jobs})
-    if args.suite == "formulas":
-        lo, hi = _parse_range(args.n_even)
-        report.params["n_even"] = args.n_even
-        values = [n for n in range(lo, hi + 1) if n % 2 == 0]
-        for chunk in _pmap(_formulas_case, values, jobs):
-            for name, expected, actual in chunk:
-                report.check(name, expected, actual)
-    elif args.suite == "identity":
-        report.params["n_max"] = args.n_max
-        values = [n for n in range(2, args.n_max + 1) if n % 2 == 0]
-        for chunk in _pmap(_identity_case, values, jobs):
-            for name, expected, actual in chunk:
-                report.check(name, expected, actual)
-    elif args.suite == "congruence":
-        report.params["p_max"] = args.p_max
-        values = [p for p in _primes_up_to(args.p_max) if p > 3]
-        for chunk in _pmap(_congruence_case, values, jobs):
-            for name, expected, actual in chunk:
-                report.check(name, expected, actual)
-    elif args.suite == "pell":
-        report.params["d_max"] = args.d_max
-        values = _nonsquares_up_to(args.d_max)
-        for chunk in _pmap(_pell_case, values, jobs):
+    if args.suite in _SWEEPS:
+        param, case, values = _SWEEPS[args.suite]
+        bound = getattr(args, param)
+        report.params[param] = bound
+        for chunk in _pmap(case, values(bound), jobs):
             for name, expected, actual in chunk:
                 report.check(name, expected, actual)
     elif args.suite == "amenable":
@@ -530,13 +528,13 @@ def cmd_witness(args):
                 max_length=args.max_length)
         except ValueError as e:
             report.check("membership sample clean", "no mismatches", str(e))
-            return report, None
+            return report
         report.record("sampled_words", cert.payload["count"])
         report.check("membership mismatches", 0, cert.payload["mismatches"])
     else:
         raise UsageError("unknown witness kind %r" % base)
     if cert is None:
-        return report, None
+        return report
     path = args.cert
     if not path:
         path = "modh1-%s.cert.json" % args.kind.replace(":", "-").replace(
@@ -550,7 +548,7 @@ def cmd_witness(args):
     report.record("certificate", path)
     report.record("kind", stored.payload["kind"])
     report.merge(stored.verify())
-    return report, path
+    return report
 
 
 # ---------------------------------------------------------- classify --
@@ -671,12 +669,14 @@ def _build_parser():
         p.add_argument("--out", help="write the report to this file")
 
     p = sub.add_parser("h1", help="invariants of H^1 for a named group")
+    p.set_defaults(func=cmd_h1)
     p.add_argument("--group", required=True,
                    help="psl2, sl2, pgl2, gl2, free:k, or gamma0bar:p")
     p.add_argument("--n", type=int, required=True)
     common(p)
 
     p = sub.add_parser("verify", help="run a formula or oracle sweep")
+    p.set_defaults(func=cmd_verify)
     p.add_argument("--suite", required=True,
                    choices=("formulas", "identity", "congruence", "pell",
                             "amenable"))
@@ -695,6 +695,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("witness", help="build and self-verify a certificate")
+    p.set_defaults(func=cmd_witness)
     p.add_argument("--kind", required=True,
                    help="free-lift:p, ba:n,a, beps:n,bits, or gammaN:N")
     p.add_argument("--n", type=int, help="degree (free-lift only)")
@@ -708,6 +709,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("classify", help="element and maximal amenable type")
+    p.set_defaults(func=cmd_classify)
     p.add_argument("--matrix", required=True,
                    help="entries as a,b;c,d (use --matrix=-1,0;0,-1 "
                         "when the first entry is negative)")
@@ -716,6 +718,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("pell", help="Pell equation data for one D")
+    p.set_defaults(func=cmd_pell)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--neg", action="store_true",
                    help="include the norm -1 equation")
@@ -727,6 +730,7 @@ def _build_parser():
 
     p = sub.add_parser("verify-certificate",
                        help="re-check a stored certificate")
+    p.set_defaults(func=cmd_verify_certificate)
     p.add_argument("file")
     common(p)
 
@@ -741,18 +745,7 @@ def main(argv=None):
     if args.format is None:
         args.format = "json" if args.command == "pell" else "text"
     try:
-        if args.command == "h1":
-            report = cmd_h1(args)
-        elif args.command == "verify":
-            report = cmd_verify(args)
-        elif args.command == "witness":
-            report, _ = cmd_witness(args)
-        elif args.command == "classify":
-            report = cmd_classify(args)
-        elif args.command == "pell":
-            report = cmd_pell(args)
-        else:
-            report = cmd_verify_certificate(args)
+        report = args.func(args)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

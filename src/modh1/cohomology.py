@@ -183,6 +183,12 @@ def _coboundary_coordinates(presentation, rep):
     return K, lattice, IntMatrix.from_columns(coords, rows=K.cols)
 
 
+def _is_cocycle(presentation, rep, cocycle):
+    # Whether the cocycle's values satisfy every relator condition.
+    R = relator_condition_matrix(presentation, rep)
+    return not any(R.mulvec(cocycle.stacked()))
+
+
 def is_coboundary(presentation, rep, cocycle):
     """The form P with b = (rho - 1)P when one exists, else None."""
     if len(rep) != len(presentation.generators):
@@ -233,8 +239,7 @@ def restrict(cocycle, embedding, sub_presentation, ambient_rep):
     if sub_presentation.relators:
         sub_rep = [word_matrix(w, ambient_rep, rep_inv)
                    for w in embedding.words]
-        R = relator_condition_matrix(sub_presentation, sub_rep)
-        if R.mulvec(out.stacked()) != [0] * R.rows:
+        if not _is_cocycle(sub_presentation, sub_rep, out):
             raise RuntimeError("restriction produced a non-cocycle")
     return out
 
@@ -314,8 +319,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
     sub_rep = sub_assignment.rep(n)
-    R = relator_condition_matrix(sub_presentation, sub_rep)
-    if R.mulvec(cocycle.stacked()) != [0] * R.rows:
+    if not _is_cocycle(sub_presentation, sub_rep, cocycle):
         raise ValueError("not a cocycle")
     B_sub = coboundary_matrix(sub_rep)
     entries = []
@@ -345,8 +349,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
 def certify_noncoboundary(presentation, assignment, n, cocycle):
     """A certificate that the cocycle is not a coboundary."""
     rep = assignment.rep(n)
-    R = relator_condition_matrix(presentation, rep)
-    if R.mulvec(cocycle.stacked()) != [0] * R.rows:
+    if not _is_cocycle(presentation, rep, cocycle):
         raise ValueError("not a cocycle")
     refutation = _refutation(coboundary_matrix(rep), cocycle.stacked())
     if refutation is None:
@@ -428,8 +431,7 @@ class Certificate:
             return checks
         sub_rep = sub_assign.rep(n)
         b = Cocycle(sub_pres, p["cocycle"]["values"])
-        R = relator_condition_matrix(sub_pres, sub_rep)
-        check("cocycle condition", R.mulvec(b.stacked()) == [0] * R.rows)
+        check("cocycle condition", _is_cocycle(sub_pres, sub_rep, b))
         B_sub = coboundary_matrix(sub_rep)
         if kind == "noncoboundary":
             self._verify_refutation(check, "coboundary refutation",
@@ -494,8 +496,7 @@ def make_ba(n, a, group="sl2"):
     v[n] = -a
     b = Cocycle(pres, [v, [0] * (n + 1)])
     rep = assignment.rep(n)
-    R = relator_condition_matrix(pres, rep)
-    if R.mulvec(b.stacked()) != [0] * R.rows:
+    if not _is_cocycle(pres, rep, b):
         raise RuntimeError("constructed values violate the cocycle condition")
     return b
 
@@ -533,8 +534,7 @@ def make_beps(n, eps, group="gl2"):
     zero = [0] * (n + 1)
     b = Cocycle(pres, [v, zero, zero])
     rep = assignment.rep(n)
-    R = relator_condition_matrix(pres, rep)
-    if R.mulvec(b.stacked()) != [0] * R.rows:
+    if not _is_cocycle(pres, rep, b):
         raise RuntimeError("constructed values violate the cocycle condition")
     return b
 

@@ -54,7 +54,7 @@ def gamma1_member(g, N):
     """Lower-left divisible by N and both diagonal entries 1 mod N."""
     if g.det() != 1:
         raise ValueError("determinant 1 required")
-    return g.c % N == 0 and g.a % N == 1 and g.d % N == 1
+    return g.c % N == 0 and (g.a - 1) % N == 0 and (g.d - 1) % N == 0
 
 
 def bN(g, N):

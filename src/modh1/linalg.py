@@ -11,8 +11,13 @@ The two normal forms here are classical:
 * Hermite (row style): U * A = H with U unimodular, H in row echelon form,
   pivots positive, entries above each pivot reduced into [0, pivot).
 
-Pivots in the Smith reduction are chosen by minimal nonzero absolute value,
-which keeps intermediate entries small in practice.
+Both rest on one in-place row echelon routine.  Transforms ride along as
+appended columns: reducing the rows of [A | I] leaves U in the right-hand
+block, and the Smith form alternates passes on [S | U] and [S^T | V^T].
+rank reduces the bare rows and carries no transform.
+
+Pivots are chosen by minimal nonzero absolute value, which keeps
+intermediate entries small in practice.
 """
 
 from __future__ import annotations
@@ -75,9 +80,6 @@ class IntMatrix:
             raise ValueError("row count required for an empty column list")
         return cls([[c[i] for c in columns] for i in range(rows)], cols=len(columns))
 
-    def copy(self):
-        return IntMatrix(self.data, cols=self.cols)
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -110,10 +112,8 @@ class IntMatrix:
             if bt:
                 out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
             else:
+                # A (m x 0) times (0 x n) is the m x n zero matrix.
                 out.append([0] * other.cols if self.cols == 0 else [])
-        # A (m x 0) times (0 x n) is the m x n zero matrix.
-        if self.cols == 0:
-            out = [[0] * other.cols for _ in range(self.rows)]
         return IntMatrix(out, cols=other.cols)
 
     def __rmul__(self, other):
@@ -186,12 +186,67 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _is_diagonal(mat):
-    for i, row in enumerate(mat.data):
-        for j, x in enumerate(row):
-            if x and i != j:
-                return False
-    return True
+def _augment(A):
+    # The rows of [A | I].
+    m = A.rows
+    return [row + [int(i == k) for k in range(m)]
+            for i, row in enumerate(A.data)]
+
+
+def _is_diagonal(rows, n):
+    return all(not x or i == j
+               for i, row in enumerate(rows) for j, x in enumerate(row[:n]))
+
+
+def _echelon(rows, n):
+    """Bring the first n columns of rows to row Hermite form, in place.
+
+    Entries past column n receive the same row operations, so reducing
+    [A | I] leaves the unimodular transform in the appended block.  Pivots
+    are chosen from the first n columns alone.  Returns the rank.
+    """
+    m = len(rows)
+    r = 0
+    for j in range(n):
+        if r >= m:
+            break
+        # gcd out the column below row r
+        while True:
+            best, bi = 0, -1
+            for i in range(r, m):
+                x = abs(rows[i][j])
+                if x and (not best or x < best):
+                    best, bi = x, i
+            if not best:
+                break
+            rows[r], rows[bi] = rows[bi], rows[r]
+            p = rows[r][j]
+            pivot = [(k, x) for k, x in enumerate(rows[r]) if x]
+            done = True
+            for i in range(r + 1, m):
+                row = rows[i]
+                if row[j]:
+                    q = row[j] // p
+                    for k, x in pivot:
+                        row[k] -= q * x
+                    if row[j]:
+                        done = False
+            if done:
+                break
+        if rows[r][j] == 0:
+            continue
+        if rows[r][j] < 0:
+            rows[r] = [-x for x in rows[r]]
+        p = rows[r][j]
+        pivot = [(k, x) for k, x in enumerate(rows[r]) if x]
+        for i in range(r):
+            row = rows[i]
+            q = row[j] // p  # floor division leaves a residue in [0, p)
+            if q:
+                for k, x in pivot:
+                    row[k] -= q * x
+        r += 1
+    return r
 
 
 def smith_normal_form(A):
@@ -200,51 +255,44 @@ def smith_normal_form(A):
     Returns a SmithDecomposition (U, S, V) with U*A*V = S, both transforms
     unimodular, S diagonal with nonnegative entries in a divisibility chain.
 
-    Reduction alternates row and column Hermite passes.  Each pass keeps
-    entries reduced modulo the pivots, which is what keeps coefficient
-    growth in check; single-pivot elimination blows up already on modest
-    kernel-basis matrices.  The diagonal is then repaired into a chain with
-    exact 2x2 gcd/lcm transforms.
+    Reduction alternates row Hermite passes on [S | U] and on [S^T | V^T].
+    Each pass keeps entries reduced modulo the pivots, which is what keeps
+    coefficient growth in check; single-pivot elimination blows up already
+    on modest kernel-basis matrices.  The diagonal is then repaired into a
+    chain with exact 2x2 gcd/lcm transforms.
     """
     m, n = A.rows, A.cols
-    S = A.copy()
-    U = IntMatrix.identity(m)
-    V = IntMatrix.identity(n)
+    su = _augment(A)
+    vt = IntMatrix.identity(n).data
     for _ in range(4 + 2 * max(m, n)):
-        H, U1 = hermite_normal_form(S)
-        S = H
-        U = U1 * U
-        if _is_diagonal(S):
+        _echelon(su, n)
+        if _is_diagonal(su, n):
             break
-        Ht, U2 = hermite_normal_form(S.transpose())
-        S = Ht.transpose()
-        V = V * U2.transpose()
-        if _is_diagonal(S):
+        st = [[row[j] for row in su] + vt[j] for j in range(n)]
+        _echelon(st, m)
+        vt = [row[m:] for row in st]
+        su = [[row[i] for row in st] + su[i][n:] for i in range(m)]
+        if _is_diagonal(su, n):
             break
     else:
         raise RuntimeError("Smith reduction failed to converge")
-
-    s = [list(row) for row in S.data]
-    u = [list(row) for row in U.data]
-    v = [list(row) for row in V.data]
+    s = [su[i][i] for i in range(min(m, n))]
+    u = [row[n:] for row in su]
 
     # Pack the nonzero diagonal entries into a prefix.  Hermite passes leave
     # an echelon structure, so this is normally a no-op, but it is cheap.
     t = 0
-    for i in range(min(m, n)):
-        if s[i][i]:
+    for i, x in enumerate(s):
+        if x:
             if i != t:
                 s[i], s[t] = s[t], s[i]
                 u[i], u[t] = u[t], u[i]
-                for row in s:
-                    row[i], row[t] = row[t], row[i]
-                for row in v:
-                    row[i], row[t] = row[t], row[i]
+                vt[i], vt[t] = vt[t], vt[i]
             t += 1
     r = t
     for i in range(r):
-        if s[i][i] < 0:
-            s[i][i] = -s[i][i]
+        if s[i] < 0:
+            s[i] = -s[i]
             u[i] = [-x for x in u[i]]
 
     # Repair divisibility with two-sided 2x2 transforms:
@@ -255,23 +303,24 @@ def smith_normal_form(A):
     while changed:
         changed = False
         for i in range(r - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
+            a, b = s[i], s[i + 1]
             if b % a == 0:
                 continue
             changed = True
             g, x, y = xgcd(a, b)
             ag, bg = a // g, b // g
-            s[i][i] = g
-            s[i + 1][i + 1] = ag * b
+            s[i] = g
+            s[i + 1] = ag * b
             ui, uj = u[i], u[i + 1]
             u[i] = [x * p + y * q for p, q in zip(ui, uj)]
             u[i + 1] = [-bg * p + ag * q for p, q in zip(ui, uj)]
             yb, xa = y * bg, x * ag
-            for row in v:
-                wi, wj = row[i], row[i + 1]
-                row[i] = wi + wj
-                row[i + 1] = -yb * wi + xa * wj
-    return SmithDecomposition(IntMatrix(u), IntMatrix(s, cols=n), IntMatrix(v))
+            vi, vj = vt[i], vt[i + 1]
+            vt[i] = [p + q for p, q in zip(vi, vj)]
+            vt[i + 1] = [-yb * p + xa * q for p, q in zip(vi, vj)]
+    S = [[s[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    V = [[row[j] for row in vt] for j in range(n)]
+    return SmithDecomposition(IntMatrix(u), IntMatrix(S, cols=n), IntMatrix(V))
 
 
 def hermite_normal_form(A):
@@ -280,68 +329,16 @@ def hermite_normal_form(A):
     Returns (H, U) with U*A = H, U unimodular.  H is in row echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
     """
-    m, n = A.rows, A.cols
-    h = [list(row) for row in A.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def addmul(dst, src, q):
-        hd, hs = h[dst], h[src]
-        for j in range(n):
-            x = hs[j]
-            if x:
-                hd[j] += q * x
-        ud, us = u[dst], u[src]
-        for j in range(m):
-            x = us[j]
-            if x:
-                ud[j] += q * x
-
-    pivot_row = 0
-    for j in range(n):
-        if pivot_row >= m:
-            break
-        # gcd out the column below pivot_row
-        while True:
-            best = None
-            bi = -1
-            for i in range(pivot_row, m):
-                x = h[i][j]
-                if x:
-                    a = -x if x < 0 else x
-                    if best is None or a < best:
-                        best, bi = a, i
-            if best is None:
-                break
-            if bi != pivot_row:
-                h[pivot_row], h[bi] = h[bi], h[pivot_row]
-                u[pivot_row], u[bi] = u[bi], u[pivot_row]
-            done = True
-            for i in range(pivot_row + 1, m):
-                if h[i][j]:
-                    q = h[i][j] // h[pivot_row][j]
-                    addmul(i, pivot_row, -q)
-                    if h[i][j]:
-                        done = False
-            if done:
-                break
-        if h[pivot_row][j] == 0:
-            continue
-        if h[pivot_row][j] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        p = h[pivot_row][j]
-        for i in range(pivot_row):
-            q = h[i][j] // p  # floor division leaves a residue in [0, p)
-            if q:
-                addmul(i, pivot_row, -q)
-        pivot_row += 1
-    return IntMatrix(h, cols=n), IntMatrix(u)
+    n = A.cols
+    rows = _augment(A)
+    _echelon(rows, n)
+    return (IntMatrix([row[:n] for row in rows], cols=n),
+            IntMatrix([row[n:] for row in rows]))
 
 
 def rank(A):
     """Rank of A over the rationals (equal to the rank over Z)."""
-    H, _ = hermite_normal_form(A)
-    return sum(1 for row in H.data if any(row))
+    return _echelon([list(row) for row in A.data], A.cols)
 
 
 def kernel_basis(A):
@@ -425,10 +422,12 @@ def invert_unimodular(M):
     """Exact inverse of a unimodular integer matrix (ValueError otherwise)."""
     if M.rows != M.cols:
         raise ValueError("not square")
-    H, U = hermite_normal_form(M)
-    if H != IntMatrix.identity(M.rows):
+    n = M.rows
+    rows = _augment(M)
+    _echelon(rows, n)
+    if [row[:n] for row in rows] != IntMatrix.identity(n).data:
         raise ValueError("matrix is not unimodular")
-    return U
+    return IntMatrix([row[n:] for row in rows])
 
 
 class AbelianInvariants:

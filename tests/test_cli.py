@@ -332,6 +332,13 @@ class TestWitness:
         assert payload["results"]["sampled_words"] == 500
         assert checks_pass(payload)
 
+    def test_membership_sample_level_one(self, capsys, tmp_path):
+        code, payload = run_json(capsys, ["witness", "--kind", "gammaN:1",
+                                          "--count", "20", "--cert",
+                                          str(tmp_path / "gamma1.json")])
+        assert code == 0
+        assert checks_pass(payload)
+
     def test_unknown_kind_is_usage_error(self, capsys):
         assert main(["witness", "--kind", "nope:1"]) == 2
         assert main(["witness", "--kind", "nope"]) == 2

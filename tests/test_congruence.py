@@ -84,6 +84,12 @@ class TestMembership:
         assert gamma0_member(Mat2(2, 1, 3, 2), 3)
         assert not gamma1_member(Mat2(2, 1, 3, 2), 3)
 
+    def test_gamma1_level_one_is_everything(self):
+        for g in (Mat2(1, 0, 0, 1), Mat2(2, 1, 1, 1), Mat2(0, -1, 1, 0),
+                  Mat2(-1, 0, 0, -1), Mat2(3, 5, 4, 7)):
+            assert gamma1_member(g, 1)
+        assert membership_mismatches(1, count=20) == 0
+
     def test_determinant_guard(self):
         with pytest.raises(ValueError):
             gamma0_member(Mat2(1, 0, 0, 2), 3)

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -20,12 +22,16 @@ from modh1.linalg import (
 )
 
 
+def sym(M):
+    return SymMatrix(M.rows, M.cols, [x for row in M.data for x in row])
+
+
 def sym_det(M):
-    return int(SymMatrix(M.data).det())
+    return int(sym(M).det())
 
 
 def sym_invariant_factors(M):
-    return [int(d) for d in invariant_factors(SymMatrix(M.data)) if int(d) != 0]
+    return [int(d) for d in invariant_factors(sym(M)) if int(d) != 0]
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -129,26 +135,52 @@ def test_solve_brute_oracle():
             assert not found
 
 
+def assert_smith(a, snf):
+    # U*A*V = S, unimodular transforms, S diagonal, nonnegative, a chain
+    assert (snf.U.rows, snf.U.cols) == (a.rows, a.rows)
+    assert (snf.V.rows, snf.V.cols) == (a.cols, a.cols)
+    assert snf.U * a * snf.V == snf.S
+    assert abs(sym_det(snf.U)) == 1
+    assert abs(sym_det(snf.V)) == 1
+    diag = snf.diagonal()
+    for i in range(snf.S.rows):
+        for j in range(snf.S.cols):
+            if i != j:
+                assert snf.S.data[i][j] == 0
+    assert all(d >= 0 for d in diag)
+    nz = [d for d in diag if d]
+    assert diag[:len(nz)] == nz
+    for x, y in zip(nz, nz[1:]):
+        assert y % x == 0
+    assert nz == sym_invariant_factors(a)
+
+
+def assert_hermite(a, h, u):
+    # U*A = H, U unimodular, H in echelon form with positive pivots and
+    # entries above each pivot reduced into [0, pivot)
+    assert u * a == h
+    assert abs(sym_det(u)) == 1
+    last = -1
+    for i, row in enumerate(h.data):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            assert not any(any(r) for r in h.data[i:])
+            break
+        p = nz[0]
+        assert p > last
+        last = p
+        assert row[p] > 0
+        for i2 in range(i):
+            assert 0 <= h.data[i2][p] < row[p]
+
+
 def test_smith_properties_random():
     rng = random.Random(7)
     for _ in range(60):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         a = random_matrix(rng, m, n)
-        snf = smith_normal_form(a)
-        assert snf.U * a * snf.V == snf.S
-        assert abs(sym_det(snf.U)) == 1
-        assert abs(sym_det(snf.V)) == 1
-        diag = snf.diagonal()
-        for i in range(snf.S.rows):
-            for j in range(snf.S.cols):
-                if i != j:
-                    assert snf.S.data[i][j] == 0
-        assert all(d >= 0 for d in diag)
-        nz = [d for d in diag if d]
-        for x, y in zip(nz, nz[1:]):
-            assert y % x == 0
-        assert nz == sym_invariant_factors(a)
+        assert_smith(a, smith_normal_form(a))
 
 
 def test_hermite_properties_random():
@@ -156,25 +188,7 @@ def test_hermite_properties_random():
     for _ in range(60):
         a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         h, u = hermite_normal_form(a)
-        assert u * a == h
-        assert abs(sym_det(u)) == 1
-        # echelon shape with positive pivots, reduced entries above
-        last = -1
-        for row in h.data:
-            nz = [j for j, x in enumerate(row) if x]
-            if not nz:
-                continue
-            p = nz[0]
-            assert p > last
-            last = p
-            assert row[p] > 0
-        for i, row in enumerate(h.data):
-            nz = [j for j, x in enumerate(row) if x]
-            if not nz:
-                continue
-            p = nz[0]
-            for i2 in range(i):
-                assert 0 <= h.data[i2][p] < row[p]
+        assert_hermite(a, h, u)
 
 
 def test_kernel_properties_random():
@@ -311,3 +325,38 @@ def test_quotient_matches_sympy_on_coefficient_lattice():
         facs = sym_invariant_factors(d)
         assert inv.free_rank == k.cols - len(facs)
         assert list(inv.torsion) == [f for f in facs if f > 1]
+
+
+@st.composite
+def int_matrices(draw):
+    """Shapes 0..7 by 0..7, or tall stacks of square blocks like B."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        rows, cols = d * draw(st.integers(1, 3)), d
+    else:
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    bound = draw(st.sampled_from((1, 4, 100)))
+    entry = st.integers(-bound, bound)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix(data, cols=cols)
+
+
+class TestNormalFormProperties:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(a=int_matrices())
+    def test_smith(self, a):
+        assert_smith(a, smith_normal_form(a))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(a=int_matrices())
+    def test_rank_matches_sympy(self, a):
+        assert rank(a) == sym(a).rank()
+        assert rank(a) == smith_normal_form(a).rank()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(a=int_matrices())
+    def test_hermite_and_inverse(self, a):
+        h, u = hermite_normal_form(a)
+        assert_hermite(a, h, u)
+        assert invert_unimodular(u) * u == IntMatrix.identity(a.rows)
