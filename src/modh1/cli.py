@@ -27,6 +27,7 @@ from .cohomology import (
     Overgroup,
     certify_nonextendable,
     certify_noncoboundary,
+    check_degree,
     cokernel_rank,
     h1,
     make_ba,
@@ -449,6 +450,7 @@ def _gl2_overgroup():
 def _witness_free_lift(args, p, report):
     if args.n is None or args.n < 1 or args.n % 2 == 0:
         raise UsageError("free-lift needs an odd --n")
+    check_degree(args.n)
     basis = schreier_free_basis(p)
     lift = lift_to_sl2(basis)
     res = h1(lift.presentation, lift.assignment.rep(args.n))
@@ -470,7 +472,7 @@ def _witness_free_lift(args, p, report):
 
 def _witness_ba(args, rest, report):
     n_text, _, a_text = rest.partition(",")
-    n, a = int(n_text), int(a_text)
+    n, a = check_degree(int(n_text)), int(a_text)
     cocycle = make_ba(n, a)
     sub_pres, sub_assign = builtin("sl2")
     over = _gl2_overgroup()
@@ -489,7 +491,7 @@ def _witness_ba(args, rest, report):
 
 def _witness_beps(args, rest, report):
     n_text, _, bits = rest.partition(",")
-    n = int(n_text)
+    n = check_degree(int(n_text))
     if not bits or any(ch not in "01" for ch in bits):
         raise UsageError("beps bits must be a nonempty 0/1 string")
     eps = [int(ch) for ch in bits]

@@ -38,10 +38,9 @@ from .presentations import (
     Presentation,
     Word,
     builtin,
-    cocycle_transport,
     evaluate_word,
+    fox_jacobian,
     relator_condition_matrix,
-    rep_inverses,
 )
 
 
@@ -60,15 +59,8 @@ class Cocycle:
         self.presentation = presentation
         self.values = values
 
-    @property
-    def dim(self):
-        return len(self.values[0]) if self.values else 0
-
     def stacked(self):
-        out = []
-        for v in self.values:
-            out.extend(v)
-        return out
+        return [x for v in self.values for x in v]
 
     @classmethod
     def from_stacked(cls, presentation, vec, dim):
@@ -134,8 +126,7 @@ class H1Result:
 
 def coboundary_matrix(rep):
     """Stacked (rho(g) - 1) for all generators; columns span B^1."""
-    d = rep[0].rows
-    eye = IntMatrix.identity(d)
+    eye = IntMatrix.identity(rep[0].rows)
     return vstack([m - eye for m in rep])
 
 
@@ -214,15 +205,17 @@ def class_order(presentation, rep, cocycle):
     return m
 
 
-def word_matrix(word, rep, rep_inv=None):
-    """Product of representation matrices along a word."""
-    if rep_inv is None:
-        rep_inv = rep_inverses(rep)
-    d = rep[0].rows
-    out = IntMatrix.identity(d)
-    for g, s in word.letters:
-        out = out * (rep[g] if s == 1 else rep_inv[g])
-    return out
+def _restricted(jacobian, Z, d):
+    # Restrictions of the ambient cocycles in the columns of Z, stacked by
+    # subgroup generator: row block i is the sum over g of J_g(w_i) times
+    # row block g of Z.
+    rows = []
+    for blocks, _ in jacobian:
+        part = IntMatrix.zeros(d, Z.cols)
+        for g, J in blocks.items():
+            part = part + J * IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
+        rows.extend(part.data)
+    return IntMatrix(rows, cols=Z.cols)
 
 
 def restrict(cocycle, embedding, sub_presentation, ambient_rep):
@@ -232,13 +225,13 @@ def restrict(cocycle, embedding, sub_presentation, ambient_rep):
     value of the ambient cocycle on the corresponding word.  The result is
     checked against the subgroup's relator conditions.
     """
-    rep_inv = rep_inverses(ambient_rep)
-    values = [cocycle_transport(w, ambient_rep, cocycle.values, rep_inv)
-              for w in embedding.words]
-    out = Cocycle(sub_presentation, values)
+    d = ambient_rep[0].rows
+    jacobian = fox_jacobian(embedding.words, ambient_rep)
+    Z = IntMatrix.from_columns([cocycle.stacked()])
+    out = Cocycle.from_stacked(sub_presentation,
+                               _restricted(jacobian, Z, d).column(0), d)
     if sub_presentation.relators:
-        sub_rep = [word_matrix(w, ambient_rep, rep_inv)
-                   for w in embedding.words]
+        sub_rep = [value for _, value in jacobian]
         if not _is_cocycle(sub_presentation, sub_rep, out):
             raise RuntimeError("restriction produced a non-cocycle")
     return out
@@ -247,19 +240,9 @@ def restrict(cocycle, embedding, sub_presentation, ambient_rep):
 def restriction_image_matrix(ambient_presentation, ambient_rep,
                              sub_presentation, embedding):
     """Columns: restrictions of a Z^1 basis of the ambient group."""
-    d = ambient_rep[0].rows
-    K = cocycle_basis(ambient_presentation, ambient_rep)
-    rep_inv = rep_inverses(ambient_rep)
-    cols = []
-    for j in range(K.cols):
-        b = Cocycle.from_stacked(ambient_presentation, K.column(j), d)
-        values = [cocycle_transport(w, ambient_rep, b.values, rep_inv)
-                  for w in embedding.words]
-        stacked = []
-        for v in values:
-            stacked.extend(v)
-        cols.append(stacked)
-    return IntMatrix.from_columns(cols, rows=len(embedding.words) * d)
+    return _restricted(fox_jacobian(embedding.words, ambient_rep),
+                       cocycle_basis(ambient_presentation, ambient_rep),
+                       ambient_rep[0].rows)
 
 
 def restriction_cokernel(ambient_presentation, ambient_rep,
@@ -318,7 +301,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     raised; otherwise a Smith-form functional refuting membership is stored.
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
-    sub_rep = sub_assignment.rep(n)
+    sub_rep = sub_assignment.rep(check_degree(n))
     if not _is_cocycle(sub_presentation, sub_rep, cocycle):
         raise ValueError("not a cocycle")
     B_sub = coboundary_matrix(sub_rep)
@@ -348,7 +331,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
 
 def certify_noncoboundary(presentation, assignment, n, cocycle):
     """A certificate that the cocycle is not a coboundary."""
-    rep = assignment.rep(n)
+    rep = assignment.rep(check_degree(n))
     if not _is_cocycle(presentation, rep, cocycle):
         raise ValueError("not a cocycle")
     refutation = _refutation(coboundary_matrix(rep), cocycle.stacked())
@@ -367,6 +350,19 @@ def certify_noncoboundary(presentation, assignment, n, cocycle):
 
 CERTIFICATE_FORMAT = "modh1-certificate-1"
 
+# Re-checking a degree n certificate takes kernels of stacked (n + 1)-square
+# blocks, at a cost growing about as n^6: a gl2 overgroup at degree 120 takes
+# about 15 s on a 2-vCPU Xeon.  The CLI writes no higher degree.
+CERT_MAX_DEGREE = 120
+
+
+def check_degree(n):
+    """n if it is a non-bool int in [0, CERT_MAX_DEGREE], else ValueError."""
+    if type(n) is not int or not 0 <= n <= CERT_MAX_DEGREE:
+        raise ValueError("degree must be an integer in [0, %d], got %r"
+                         % (CERT_MAX_DEGREE, n))
+    return n
+
 
 def _presentation_payload(presentation, assignment):
     return {
@@ -380,9 +376,11 @@ def _presentation_payload(presentation, assignment):
 
 
 def _presentation_from_payload(payload):
-    pres = Presentation(payload["name"], payload["generators"], ())
-    relators = [pres.parse_word(w) for w in payload["relators"]]
-    pres = Presentation(payload["name"], payload["generators"], relators)
+    gens = payload["generators"]
+    if len(payload["matrices"]) != len(gens):
+        raise ValueError("one matrix per generator required")
+    pres = Presentation(payload["name"], gens,
+                        [Word.parse(w, gens) for w in payload["relators"]])
     assignment = MatrixAssignment([Mat2(*e) for e in payload["matrices"]],
                                   projective=payload["projective"])
     return pres, assignment
@@ -419,9 +417,15 @@ class Certificate:
             return checks
         kind = p.get("kind")
         if kind == "membership-sample":
-            self._verify_membership_sample(check)
+            # deferred: the congruence module re-runs the sampled word test
+            from .congruence import verify_membership_sample_payload
+            verify_membership_sample_payload(p, check)
             return checks
-        n = p["degree"]
+        try:
+            n = check_degree(p["degree"])
+        except (KeyError, ValueError) as e:
+            check("payload fields", False, actual=repr(e))
+            return checks
         sub_pres, sub_assign = _presentation_from_payload(p["subgroup"])
         try:
             sub_assign.check(sub_pres)
@@ -440,6 +444,8 @@ class Certificate:
         if kind != "nonextendable":
             check("kind", False, "nonextendable", kind)
             return checks
+        if not p["overgroups"]:
+            check("overgroups listed", False, "at least one", "none")
         for og in p["overgroups"]:
             label = og["name"]
             pres, assign = _presentation_from_payload(og)
@@ -450,17 +456,17 @@ class Certificate:
                 check("%s relators" % label, False, actual=str(e))
                 continue
             words = [pres.parse_word(w) for w in og["embedding"]]
-            # embedding words must evaluate to the stored subgroup matrices
-            target = [Mat2(*e) for e in p["subgroup"]["matrices"]]
-            ok = all(evaluate_word(w, assign.matrices) == m
-                     for w, m in zip(words, target))
+            ok = len(words) == len(sub_assign.matrices) and all(
+                evaluate_word(w, assign.matrices) == m
+                for w, m in zip(words, sub_assign.matrices))
             check("%s embedding" % label, ok)
-            amb_rep = assign.rep(n)
-            emb = Embedding(pres, words)
-            RZ = restriction_image_matrix(pres, amb_rep, sub_pres, emb)
-            M = hstack([RZ, B_sub])
+            if not ok:
+                continue
+            RZ = restriction_image_matrix(pres, assign.rep(n), sub_pres,
+                                          Embedding(pres, words))
             self._verify_refutation(check, "%s refutation" % label,
-                                    og["refutation"], M, b.stacked())
+                                    og["refutation"], hstack([RZ, B_sub]),
+                                    b.stacked())
         return checks
 
     @staticmethod
@@ -473,11 +479,6 @@ class Certificate:
         ok, ub = _refutes(u, m, M, target)
         check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m,
               "u.b = %d" % ub)
-
-    def _verify_membership_sample(self, check):
-        # deferred: the congruence module re-runs the sampled word test
-        from .congruence import verify_membership_sample_payload
-        return verify_membership_sample_payload(self.payload, check)
 
 
 def make_ba(n, a, group="sl2"):
@@ -521,14 +522,11 @@ def make_beps(n, eps, group="gl2"):
     if len(eps) != m:
         raise ValueError("expected %d epsilon entries" % m)
     v = [0] * (n + 1)
-    if n % 4 == 0:
-        for k in range(1, m + 1):
-            v[2 * k - 1] += eps[k - 1]
-            v[n - 2 * k + 1] += eps[k - 1]
-    else:
-        for k in range(1, m):
-            v[2 * k - 1] += eps[k - 1]
-            v[n - 2 * k + 1] += eps[k - 1]
+    pairs = m if n % 4 == 0 else m - 1
+    for k in range(1, pairs + 1):
+        v[2 * k - 1] += eps[k - 1]
+        v[n - 2 * k + 1] += eps[k - 1]
+    if pairs < m:
         v[n // 2] += eps[m - 1]
     pres, assignment = builtin(group)
     zero = [0] * (n + 1)

@@ -523,27 +523,38 @@ def check_sample_fields(N, count, max_length):
                              % (name, lo, hi, value))
 
 
-def membership_mismatches(N, seed=0, count=10000, max_length=20):
-    """Count sampled words where bN integrality and membership disagree."""
+def _sample_record(N, seed, count, max_length):
+    # (mismatch count, sha256 hex digest of the sampled matrices' entries);
+    # hashlib loads OpenSSL, about 3.6 MB resident, so only samples pay it
+    import hashlib
+
+    digest = hashlib.sha256()
     bad = 0
     for g in _sample_words(seed, count, max_length):
+        digest.update(b"%d,%d,%d,%d;" % g.entries())
         _, integral = bN(g, N)
         if integral != gamma1_member(g, N):
             bad += 1
-    return bad
+    return bad, digest.hexdigest()
+
+
+def membership_mismatches(N, seed=0, count=10000, max_length=20):
+    """Count sampled words where bN integrality and membership disagree."""
+    return _sample_record(N, seed, count, max_length)[0]
 
 
 def certify_membership_sample(N, seed=0, count=10000, max_length=20):
     """A re-runnable record that the cocycle characterization held.
 
-    The certificate pins the sampling scheme; verification regenerates the
-    same words and recounts.  This is evidence, not proof, but the full
+    The certificate pins the sampling scheme and the sha256 digest of the
+    sampled matrices; verification regenerates the same words, compares
+    the digest and recounts.  This is evidence, not proof, but the full
     equivalence is a short determinant argument either way.
     """
     from .cohomology import CERTIFICATE_FORMAT, Certificate
 
     check_sample_fields(N, count, max_length)
-    mismatches = membership_mismatches(N, seed, count, max_length)
+    mismatches, digest = _sample_record(N, seed, count, max_length)
     if mismatches:
         raise ValueError("characterization failed on %d words" % mismatches)
     payload = {
@@ -554,6 +565,7 @@ def certify_membership_sample(N, seed=0, count=10000, max_length=20):
         "count": count,
         "max_length": max_length,
         "mismatches": 0,
+        "sample_sha256": digest,
     }
     return Certificate(payload)
 
@@ -566,10 +578,13 @@ def verify_membership_sample_payload(payload, check):
         count = int(payload["count"])
         max_length = int(payload["max_length"])
         claimed = int(payload["mismatches"])
+        digest = str(payload["sample_sha256"])
         check_sample_fields(N, count, max_length)
     except (KeyError, TypeError, ValueError) as e:
         check("payload fields", False, actual=repr(e))
         return
     check("claimed mismatch count", claimed == 0, 0, claimed)
-    recount = membership_mismatches(N, seed, count, max_length)
+    recount, sampled = _sample_record(N, seed, count, max_length)
     check("recounted mismatches", recount == claimed, claimed, recount)
+    # the digest ties the seed to the words it draws
+    check("sampled words digest", sampled == digest, digest, sampled)

@@ -8,9 +8,11 @@ generators, and extends to arbitrary words by the transport rule
     b(x_1 ... x_m) = sum_j rho(x_1 ... x_{j-1}) b(x_j),
     b(g^-1) = -rho(g)^-1 b(g).
 
-Applying the transport rule to each relator gives a linear condition on the
-generator values; stacking those conditions yields the relator condition
-matrix, whose integer kernel is exactly the cocycle lattice Z^1.
+Collected by generator, the terms give the word's Fox Jacobian: blocks J_g,
+the Fox derivatives dw/dg evaluated in rho, with b(w) = sum_g J_g b(g) for
+every cocycle b, so one walk along the word serves every cocycle.  The
+relators' Jacobians, stacked, form the relator condition matrix, whose
+integer kernel is exactly the cocycle lattice Z^1.
 """
 
 from __future__ import annotations
@@ -201,61 +203,61 @@ def builtin(name):
     raise ValueError("unknown group %r" % name)
 
 
-def rep_inverses(rep):
-    return [invert_unimodular(m) for m in rep]
+def fox_jacobian(words, rep):
+    """The Fox Jacobian of each word, evaluated in rep, with the word's value.
+
+    Returns one pair (blocks, value) per word: value is rho(w), and blocks
+    maps each generator g that occurs in w to the matrix J_g with
+    b(w) = sum_g J_g b(g) for every cocycle b.  Each word is walked once,
+    and only generators that occur inverted are inverted.
+    """
+    inverses = {g: invert_unimodular(rep[g])
+                for g in {g for w in words for g, s in w.letters if s == -1}}
+    eye = IntMatrix.identity(rep[0].rows)
+    out = []
+    for word in words:
+        blocks = {}
+        acc = eye
+        for g, s in word.letters:
+            step = rep[g] if s == 1 else inverses[g]
+            nxt = step if acc is eye else acc * step
+            # b(g) enters with rho of the prefix before it, b(g^-1) with
+            # minus rho of the prefix through it
+            term = acc if s == 1 else -nxt
+            blocks[g] = blocks[g] + term if g in blocks else term
+            acc = nxt
+        out.append((blocks, acc))
+    return out
 
 
-def cocycle_transport(word, rep, values, rep_inv=None):
+def cocycle_transport(word, rep, values):
     """Value of the cocycle with the given generator values on a word."""
-    if rep_inv is None:
-        rep_inv = rep_inverses(rep)
-    d = rep[0].rows
-    total = [0] * d
-    acc = IntMatrix.identity(d)
-    for g, s in word.letters:
-        if s == 1:
-            v = values[g]
-            step = rep[g]
-        else:
-            step = rep_inv[g]
-            v = [-x for x in step.mulvec(values[g])]
-        for i, x in enumerate(acc.mulvec(v)):
-            total[i] += x
-        acc = acc * step
-    return total
+    [(blocks, _)] = fox_jacobian([word], rep)
+    parts = [J.mulvec(values[g]) for g, J in blocks.items()]
+    return [sum(x) for x in zip([0] * rep[0].rows, *parts)]
 
 
 def relator_condition_matrix(presentation, rep):
     """The linear conditions a cocycle's generator values must satisfy.
 
-    Block column g of relator row r is the coefficient of b(g) in the
-    transported value b(r); the stacked matrix has shape
-    (#relators * d) x (#generators * d) and its integer kernel is Z^1.
+    Block column g of relator row r is the Fox Jacobian block J_g of r; the
+    stacked matrix has shape (#relators * d) x (#generators * d) and its
+    integer kernel is Z^1.
 
     Raises ValueError when the representation does not kill some relator,
     e.g. for an odd degree action through a projective presentation.
     """
     k = len(presentation.generators)
     d = rep[0].rows
-    rep_inv = rep_inverses(rep)
-    eye = IntMatrix.identity(d)
+    zero = IntMatrix.zeros(d, d)
     rows = []
-    for rel in presentation.relators:
-        blocks = [IntMatrix.zeros(d, d) for _ in range(k)]
-        acc = eye
-        for g, s in rel.letters:
-            if s == 1:
-                blocks[g] = blocks[g] + acc
-                acc = acc * rep[g]
-            else:
-                step = rep_inv[g]
-                blocks[g] = blocks[g] - acc * step
-                acc = acc * step
-        if acc != eye:
+    jacobians = fox_jacobian(presentation.relators, rep)
+    for rel, (blocks, value) in zip(presentation.relators, jacobians):
+        if value != IntMatrix.identity(d):
             raise ValueError(
                 "representation does not satisfy relator %s"
                 % rel.format(presentation.generators))
-        rows.append(hstack(blocks))
+        rows.append(hstack([blocks.get(g, zero) for g in range(k)]))
     if not rows:
         return IntMatrix([], cols=k * d)
     return vstack(rows)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import time
 
 import pytest
 
@@ -391,3 +392,149 @@ class TestVerifyCertificate:
         code, report = run_json(capsys, ["verify-certificate", str(bad)])
         assert code == 1
         assert report["checks"][0]["name"] == "format"
+
+
+def _zero_functional(ref):
+    ref["functional"] = [0] * len(ref["functional"])
+
+
+# (certificate kind, tamper, edit of the payload, check that must fail)
+TAMPERS = [
+    ("ba", "zeroed functional",
+     lambda p: _zero_functional(p["overgroups"][0]["refutation"]),
+     "gl2 refutation"),
+    ("ba", "changed modulus",
+     lambda p: p["overgroups"][0]["refutation"].update(modulus=1),
+     "gl2 refutation"),
+    ("lift", "changed modulus",
+     lambda p: p["overgroups"][1]["refutation"].update(modulus=1),
+     "sl2 refutation"),
+    ("ba", "altered cocycle entry",
+     lambda p: p["cocycle"]["values"][0].__setitem__(1, 1),
+     "cocycle condition"),
+    ("ba", "altered overgroup matrix",
+     lambda p: p["overgroups"][0]["matrices"][2].__setitem__(0, 1),
+     "gl2 relators"),
+    ("lift", "altered overgroup matrix",
+     lambda p: p["overgroups"][0]["matrices"].__setitem__(
+         0, p["overgroups"][0]["matrices"][1]),
+     "K x <eps> embedding"),
+    ("ba", "swapped embedding word",
+     lambda p: p["overgroups"][0]["embedding"].reverse(),
+     "gl2 embedding"),
+    ("lift", "swapped embedding word",
+     lambda p: p["overgroups"][1]["embedding"].reverse(),
+     "sl2 embedding"),
+    ("ba", "no overgroups",
+     lambda p: p.update(overgroups=[]),
+     "overgroups listed"),
+    ("ba", "embedding word missing",
+     lambda p: p["overgroups"][0]["embedding"].pop(),
+     "gl2 embedding"),
+    ("beps", "zeroed functional",
+     lambda p: _zero_functional(p["refutation"]),
+     "coboundary refutation"),
+    ("beps", "altered cocycle entry",
+     lambda p: p["cocycle"]["values"][0].__setitem__(0, 1),
+     "cocycle condition"),
+    ("gamma", "altered mismatch count",
+     lambda p: p.update(mismatches=3),
+     "claimed mismatch count"),
+    ("gamma", "altered seed",
+     lambda p: p.update(seed=p["seed"] + 1),
+     "sampled words digest"),
+]
+
+WITNESS_ARGS = {
+    "ba": ["--kind", "ba:4,1"],
+    "beps": ["--kind", "beps:6,11"],
+    "lift": ["--kind", "free-lift:11", "--n", "3"],
+    "gamma": ["--kind", "gammaN:5", "--count", "200"],
+}
+
+
+@pytest.fixture(scope="module")
+def certificates(tmp_path_factory):
+    # one genuine certificate per kind, written once for the module
+    out = {}
+    for key, args in WITNESS_ARGS.items():
+        path = tmp_path_factory.mktemp("certs") / (key + ".json")
+        assert main(["witness"] + args + ["--cert", str(path),
+                                          "--format", "json"]) == 0
+        out[key] = path.read_text()
+    return out
+
+
+def verify_payload(capsys, tmp_path, payload):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    return run_json(capsys, ["verify-certificate", str(path)])
+
+
+def failed_checks(report):
+    return [c["name"] for c in report["checks"] if not c["pass"]]
+
+
+class TestTamperRejection:
+    @pytest.mark.parametrize("key", sorted(WITNESS_ARGS))
+    def test_genuine_certificates_pass(self, capsys, tmp_path, certificates,
+                                       key):
+        code, report = verify_payload(capsys, tmp_path,
+                                      json.loads(certificates[key]))
+        assert code == 0 and checks_pass(report)
+
+    @pytest.mark.parametrize("key, name, edit, check", TAMPERS,
+                             ids=["%s: %s" % t[:2] for t in TAMPERS])
+    def test_tampered_copy_fails_its_check(self, capsys, tmp_path,
+                                           certificates, key, name, edit,
+                                           check):
+        payload = json.loads(certificates[key])
+        edit(payload)
+        assert payload != json.loads(certificates[key])
+        code, report = verify_payload(capsys, tmp_path, payload)
+        assert code == 1
+        assert check in failed_checks(report)
+
+    @pytest.mark.parametrize("key", ["ba", "beps"])
+    def test_matrix_count_mismatch_is_malformed(self, capsys, tmp_path,
+                                                certificates, key):
+        # one matrix short of the generators: a usage error, not an
+        # IndexError from evaluating a relator
+        payload = json.loads(certificates[key])
+        payload["subgroup"]["matrices"].pop()
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify-certificate", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", ["ba", "beps"])
+    @pytest.mark.parametrize("degree", [10 ** 9, -1, True, 4.0, "4", None])
+    def test_untrusted_degree_is_bounded(self, capsys, tmp_path,
+                                         certificates, key, degree):
+        payload = json.loads(certificates[key])
+        payload["degree"] = degree
+        start = time.perf_counter()
+        code, report = verify_payload(capsys, tmp_path, payload)
+        assert time.perf_counter() - start < 0.1
+        assert code == 1
+        assert failed_checks(report) == ["payload fields"]
+
+    @pytest.mark.parametrize("kind, n", [("ba:1000000000,1", None),
+                                         ("beps:1000000,1", None),
+                                         ("free-lift:11", "1000001")])
+    def test_witness_degree_above_bound_is_usage_error(self, capsys,
+                                                       tmp_path, monkeypatch,
+                                                       kind, n):
+        # the bound is checked before anything of that degree is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the degree check")
+
+        for name in ("make_ba", "make_beps", "schreier_free_basis"):
+            monkeypatch.setattr(modh1.cli, name, refuse)
+        args = ["witness", "--kind", kind, "--cert", str(tmp_path / "x.json")]
+        if n is not None:
+            args += ["--n", n]
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - start < 0.1
+        assert not (tmp_path / "x.json").exists()

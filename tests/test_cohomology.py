@@ -17,12 +17,14 @@ from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 from modh1.cohomology import (
+    CERT_MAX_DEGREE,
     Certificate,
     Cocycle,
     Overgroup,
     beps_relation_lattice,
     certify_noncoboundary,
     certify_nonextendable,
+    check_degree,
     class_order,
     coboundary_matrix,
     cocycle_basis,
@@ -447,6 +449,22 @@ class TestCertificates:
         # so the obstruction must be a genuine congruence
         assert ref["modulus"] >= 2
         assert ref["pairing"] % ref["modulus"] != 0
+
+    def test_degree_bound(self):
+        assert check_degree(0) == 0
+        assert check_degree(CERT_MAX_DEGREE) == CERT_MAX_DEGREE
+        for bad in (CERT_MAX_DEGREE + 1, -1, True, 4.0, "4"):
+            with pytest.raises(ValueError):
+                check_degree(bad)
+        # checked before any matrix of that degree is built
+        gp, ga = builtin("gl2")
+        b = make_beps(6, [1, 1])
+        with pytest.raises(ValueError, match="degree"):
+            certify_noncoboundary(gp, ga, 10 ** 9, b)
+        sp, sa = builtin("sl2")
+        with pytest.raises(ValueError, match="degree"):
+            certify_nonextendable(sp, sa, 10 ** 9, make_ba(2, 1),
+                                  [self.gl2_overgroup()])
 
 
 class TestCocycleContainer:

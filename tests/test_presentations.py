@@ -1,14 +1,19 @@
 import random
 
-from modh1.linalg import IntMatrix
-from modh1.polyrep import GEN_S, GEN_T, Mat2
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modh1.congruence import lift_to_sl2, schreier_free_basis
+from modh1.linalg import IntMatrix, hstack, invert_unimodular, vstack
+from modh1.polyrep import GEN_S, GEN_T, Mat2, rho_matrix
 from modh1.presentations import (
     Word,
     builtin,
     cocycle_transport,
     evaluate_word,
+    fox_jacobian,
     relator_condition_matrix,
-    rep_inverses,
 )
 
 
@@ -81,23 +86,173 @@ def test_transport_concatenation_rule():
     pres, assign = builtin("sl2")
     n = 3
     rep = assign.rep(n)
-    rep_inv = rep_inverses(rep)
     values = [[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(2)]
     for _ in range(20):
         u = Word([(rng.randrange(2), rng.choice((1, -1)))
                   for _ in range(rng.randint(0, 5))])
         v = Word([(rng.randrange(2), rng.choice((1, -1)))
                   for _ in range(rng.randint(0, 5))])
-        bu = cocycle_transport(u, rep, values, rep_inv)
-        bv = cocycle_transport(v, rep, values, rep_inv)
-        buv = cocycle_transport(u * v, rep, values, rep_inv)
+        bu = cocycle_transport(u, rep, values)
+        bv = cocycle_transport(v, rep, values)
+        buv = cocycle_transport(u * v, rep, values)
         mu = evaluate_word(u, assign.matrices)
-        from modh1.polyrep import rho_matrix
         assert buv == [x + y for x, y in zip(bu, rho_matrix(mu, n).mulvec(bv))]
     # and b(g g^-1) = 0
     for g in (0, 1):
         w = Word([(g, 1), (g, -1)])
-        assert cocycle_transport(w, rep, values, rep_inv) == [0] * (n + 1)
+        assert cocycle_transport(w, rep, values) == [0] * (n + 1)
+
+
+def reference_transport(word, rep, values):
+    # The transport rule letter by letter, with no Jacobian: the running
+    # prefix product times b(g), or times -rho(g)^-1 b(g) for g^-1.
+    d = rep[0].rows
+    total = [0] * d
+    acc = IntMatrix.identity(d)
+    for g, s in word.letters:
+        if s == 1:
+            v = values[g]
+            step = rep[g]
+        else:
+            step = invert_unimodular(rep[g])
+            v = [-x for x in step.mulvec(values[g])]
+        for i, x in enumerate(acc.mulvec(v)):
+            total[i] += x
+        acc = acc * step
+    return total
+
+
+def reference_relator_matrix(presentation, rep):
+    # Block column g of relator row r holds the transport of the unit
+    # vectors placed at generator g, column by column.
+    k = len(presentation.generators)
+    d = rep[0].rows
+    zero = [[0] * d for _ in range(k)]
+    rows = []
+    for rel in presentation.relators:
+        value = IntMatrix.identity(d)
+        for g, s in rel.letters:
+            m = rep[g] if s == 1 else invert_unimodular(rep[g])
+            value = value * m
+        if value != IntMatrix.identity(d):
+            raise ValueError("representation does not satisfy relator")
+        cols = []
+        for g in range(k):
+            for j in range(d):
+                values = [list(v) for v in zero]
+                values[g][j] = 1
+                cols.append(reference_transport(rel, rep, values))
+        rows.append(IntMatrix.from_columns(cols))
+    return vstack(rows) if rows else IntMatrix([], cols=k * d)
+
+
+def jacobian_matrix(blocks, k, d):
+    return hstack([blocks.get(g, IntMatrix.zeros(d, d)) for g in range(k)])
+
+
+@st.composite
+def words_in(draw, group):
+    # a builtin group, a degree n <= 4, and two words of up to 12 letters
+    pres, assign = builtin(group)
+    k = len(pres.generators)
+    n = draw(st.integers(0, 4))
+    letter = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
+    u, v = (Word(draw(st.lists(letter, max_size=12))) for _ in range(2))
+    return assign, k, n, u, v
+
+
+GROUPS = ("sl2", "gl2", "free:3")
+
+
+class TestFoxJacobian:
+    @pytest.mark.parametrize("group", GROUPS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_product_rule(self, group, data):
+        # J(uv) = J(u) + rho(u) J(v) and rho(uv) = rho(u) rho(v)
+        assign, k, n, u, v = data.draw(words_in(group))
+        rep = assign.rep(n)
+        (ju, mu), (jv, mv), (juv, muv) = fox_jacobian([u, v, u * v], rep)
+        assert muv == mu * mv
+        assert mu == rho_matrix(evaluate_word(u, assign.matrices), n)
+        d = n + 1
+        assert jacobian_matrix(juv, k, d) == (
+            jacobian_matrix(ju, k, d) + mu * jacobian_matrix(jv, k, d))
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_blocks_match_letter_by_letter_transport(self, group, data):
+        assign, k, n, u, _ = data.draw(words_in(group))
+        rep = assign.rep(n)
+        d = n + 1
+        [(blocks, _)] = fox_jacobian([u], rep)
+        assert set(blocks) <= {g for g, _ in u.letters}
+        for g in range(k):
+            for j in range(d):
+                values = [[0] * d for _ in range(k)]
+                values[g][j] = 1
+                expected = reference_transport(u, rep, values)
+                got = blocks[g].column(j) if g in blocks else [0] * d
+                assert got == expected
+        values = data.draw(st.lists(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+            min_size=k, max_size=k))
+        assert cocycle_transport(u, rep, values) == reference_transport(
+            u, rep, values)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_cancelling_pair_is_zero(self, group):
+        pres, assign = builtin(group)
+        k = len(pres.generators)
+        for n in range(5):
+            rep = assign.rep(n)
+            for g in range(k):
+                for s in (1, -1):
+                    [(blocks, value)] = fox_jacobian(
+                        [Word([(g, s), (g, -s)])], rep)
+                    assert value == IntMatrix.identity(n + 1)
+                    assert jacobian_matrix(blocks, k, n + 1).is_zero()
+
+    def test_inverts_only_generators_used_inverted(self, monkeypatch):
+        import modh1.presentations as presentations
+
+        inverted = []
+
+        def spy(m):
+            inverted.append(m)
+            return invert_unimodular(m)
+
+        monkeypatch.setattr(presentations, "invert_unimodular", spy)
+        pres, assign = builtin("gl2")
+        rep = assign.rep(2)
+        fox_jacobian([pres.parse_word("s t s w"), pres.parse_word("t^-2")],
+                     rep)
+        assert inverted == [rep[1]]
+        fox_jacobian([Word(), pres.parse_word("s w")], rep)
+        assert inverted == [rep[1]]
+
+    @pytest.mark.parametrize("group", ("psl2", "sl2", "pgl2", "gl2"))
+    def test_relator_matrix_matches_reference(self, group):
+        pres, assign = builtin(group)
+        for n in range(13):
+            rep = assign.rep(n)
+            try:
+                expected = reference_relator_matrix(pres, rep)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    relator_condition_matrix(pres, rep)
+                continue
+            assert relator_condition_matrix(pres, rep) == expected
+
+    def test_relator_matrix_matches_reference_on_lift(self):
+        lift = lift_to_sl2(schreier_free_basis(23))
+        keps = lift.overgroups[0]
+        assert keps.presentation.name == "K x <eps>"
+        for n in range(5):
+            rep = keps.assignment.rep(n)
+            assert relator_condition_matrix(keps.presentation, rep) == (
+                reference_relator_matrix(keps.presentation, rep))
 
 
 def test_coboundaries_satisfy_relator_conditions():

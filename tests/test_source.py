@@ -2,19 +2,41 @@
 
 import ast
 import pathlib
+import sys
 
 import modh1
 
 
-def test_no_assert_statements():
-    # python -O strips assert, so internal consistency checks must raise
+def module_trees():
     sources = sorted(pathlib.Path(modh1.__file__).parent.glob("*.py"))
     assert {p.name for p in sources} >= {"linalg.py", "cohomology.py",
                                          "cli.py"}
-    found = []
     for path in sources:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend("%s:%d" % (path.name, node.lineno)
-                     for node in ast.walk(tree)
-                     if isinstance(node, ast.Assert))
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"),
+                                   filename=str(path))
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so internal consistency checks must raise
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in module_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_stdlib_only_imports():
+    # the library depends on nothing outside the standard library; its own
+    # modules are imported relatively
+    found = []
+    for name, tree in module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found.extend("%s:%d %s" % (name, node.lineno, module)
+                         for module in modules
+                         if module.split(".")[0] not in sys.stdlib_module_names)
     assert found == []
