@@ -23,11 +23,9 @@ from .linalg import (
     IntMatrix,
     SmithLattice,
     hstack,
-    invert_unimodular,
     kernel_basis,
     quotient_invariants,
     rank,
-    smith_normal_form,
     solve_integer,
     vstack,
 )
@@ -111,17 +109,13 @@ class H1Result:
     def free_basis(self):
         """Cocycles whose classes form a basis of H^1 modulo torsion.
 
-        Built on first access.  With U*C*V = S for the coordinates C of B^1
-        in a kernel basis K of Z^1, these are the columns of K*U^-1 past the
-        rank of C.
+        Built on first access: K times the free complement of the lattice
+        of coordinates of B^1 in a kernel basis K of Z^1.
         """
-        K, _, C = _coboundary_coordinates(self.presentation, self.rep)
-        snf = smith_normal_form(C)
-        u_inv = invert_unimodular(snf.U)
-        return [Cocycle.from_stacked(self.presentation,
-                                     K.mulvec(u_inv.column(i)),
+        K, _, coords = _coboundary_coordinates(self.presentation, self.rep)
+        return [Cocycle.from_stacked(self.presentation, K.mulvec(c),
                                      self.rep[0].rows)
-                for i in range(snf.rank(), K.cols)]
+                for c in coords.free_complement()]
 
 
 def coboundary_matrix(rep):
@@ -138,40 +132,28 @@ def cocycle_basis(presentation, rep):
 def h1(presentation, rep):
     """H^1 of the presented group acting through rep, with torsion lifts.
 
-    With U*B*V = S and d_i the i-th diagonal entry of S, column i of U^-1
-    is B*V[:, i] / d_i.  It lies in Z^1 because Z^1 is saturated and holds
-    B^1, and its class has order d_i.
+    The torsion generators of Z^N / B^1 lie in Z^1 because Z^1 is saturated
+    and holds B^1, so their classes generate the torsion of H^1.
     """
     d = rep[0].rows
     R = relator_condition_matrix(presentation, rep)
     B = coboundary_matrix(rep)
     if not (R * B).is_zero():
         raise RuntimeError("coboundaries outside the cocycle lattice")
-    snf = smith_normal_form(B)
-    diag = [x for x in snf.diagonal() if x]
-    torsion_basis = []
-    for i, di in enumerate(diag):
-        if di == 1:
-            continue
-        col = B.mulvec(snf.V.column(i))
-        if any(x % di for x in col):
-            raise RuntimeError("Smith column not divisible by its entry")
-        vec = [x // di for x in col]
-        torsion_basis.append((Cocycle.from_stacked(presentation, vec, d), di))
-    invariants = AbelianInvariants(B.rows - rank(R) - len(diag),
+    lattice = SmithLattice(B)
+    torsion_basis = [(Cocycle.from_stacked(presentation, vec, d), di)
+                     for vec, di in lattice.torsion_generators()]
+    invariants = AbelianInvariants(B.rows - rank(R) - lattice.rank(),
                                    [t for _, t in torsion_basis])
     return H1Result(invariants, torsion_basis, presentation, rep)
 
 
 def _coboundary_coordinates(presentation, rep):
-    # A kernel basis K of Z^1, its lattice, and the matrix C whose columns
-    # are the coordinates of the columns of B in K.
+    # A kernel basis K of Z^1, its lattice, and the lattice spanned by the
+    # coordinates of the columns of B in K.
     K = cocycle_basis(presentation, rep)
     lattice = SmithLattice(K)
-    coords = [lattice.coords(col) for col in coboundary_matrix(rep).columns()]
-    if None in coords:
-        raise RuntimeError("coboundaries outside the cocycle lattice")
-    return K, lattice, IntMatrix.from_columns(coords, rows=K.cols)
+    return K, lattice, lattice.coordinate_lattice(coboundary_matrix(rep))
 
 
 def _is_cocycle(presentation, rep, cocycle):
@@ -180,24 +162,17 @@ def _is_cocycle(presentation, rep, cocycle):
     return not any(R.mulvec(cocycle.stacked()))
 
 
-def is_coboundary(presentation, rep, cocycle):
-    """The form P with b = (rho - 1)P when one exists, else None."""
-    if len(rep) != len(presentation.generators):
-        raise ValueError("one matrix per generator required")
-    return solve_integer(coboundary_matrix(rep), cocycle.stacked())
-
-
 def class_order(presentation, rep, cocycle):
     """Order of the class of the cocycle in H^1; None means infinite.
 
     Computed in coordinates of a kernel basis of Z^1, a route independent
     of the Smith form of B that h1 reads its invariants from.
     """
-    _, lattice, C = _coboundary_coordinates(presentation, rep)
+    _, lattice, coords = _coboundary_coordinates(presentation, rep)
     x = lattice.coords(cocycle.stacked())
     if x is None:
         raise ValueError("not a cocycle for this presentation")
-    m = SmithLattice(C).order(x)
+    m = coords.order(x)
     if m is not None and solve_integer(
             coboundary_matrix(rep),
             [m * v for v in cocycle.stacked()]) is None:
@@ -237,8 +212,7 @@ def restrict(cocycle, embedding, sub_presentation, ambient_rep):
     return out
 
 
-def restriction_image_matrix(ambient_presentation, ambient_rep,
-                             sub_presentation, embedding):
+def restriction_image_matrix(ambient_presentation, ambient_rep, embedding):
     """Columns: restrictions of a Z^1 basis of the ambient group."""
     return _restricted(fox_jacobian(embedding.words, ambient_rep),
                        cocycle_basis(ambient_presentation, ambient_rep),
@@ -250,8 +224,7 @@ def restriction_cokernel(ambient_presentation, ambient_rep,
     """Invariants of H^1(subgroup) / image of H^1(ambient group)."""
     Z_sub = cocycle_basis(sub_presentation, sub_rep)
     B_sub = coboundary_matrix(sub_rep)
-    RZ = restriction_image_matrix(ambient_presentation, ambient_rep,
-                                  sub_presentation, embedding)
+    RZ = restriction_image_matrix(ambient_presentation, ambient_rep, embedding)
     return quotient_invariants(Z_sub, hstack([RZ, B_sub]))
 
 
@@ -308,8 +281,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     entries = []
     for og in overgroups:
         amb_rep = og.assignment.rep(n)
-        RZ = restriction_image_matrix(og.presentation, amb_rep,
-                                      sub_presentation, og.embedding)
+        RZ = restriction_image_matrix(og.presentation, amb_rep, og.embedding)
         refutation = _refutation(hstack([RZ, B_sub]), cocycle.stacked())
         if refutation is None:
             raise ValueError("the class extends to overgroup %r" % og.name)
@@ -462,7 +434,7 @@ class Certificate:
             check("%s embedding" % label, ok)
             if not ok:
                 continue
-            RZ = restriction_image_matrix(pres, assign.rep(n), sub_pres,
+            RZ = restriction_image_matrix(pres, assign.rep(n),
                                           Embedding(pres, words))
             self._verify_refutation(check, "%s refutation" % label,
                                     og["refutation"], hstack([RZ, B_sub]),

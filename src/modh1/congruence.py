@@ -43,13 +43,6 @@ def legendre(a, p):
     return r
 
 
-def gamma0_member(g, N):
-    """Lower-left entry divisible by N."""
-    if g.det() != 1:
-        raise ValueError("determinant 1 required")
-    return g.c % N == 0
-
-
 def gamma1_member(g, N):
     """Lower-left divisible by N and both diagonal entries 1 mod N."""
     if g.det() != 1:
@@ -458,26 +451,6 @@ def lift_to_sl2(basis):
         Overgroup("sl2", sl2_pres, sl2_assign, embedding),
     ]
     return Sl2Lift(basis.p, sub_pres, sub_assign, embedding, overgroups)
-
-
-def gamma1_free_reason(N):
-    """A prime p = 11 mod 12 dividing N, if one exists.
-
-    Such a divisor embeds Gamma_1(N) into the free projective subgroup for
-    p, so the group itself is free.
-    """
-    d = 2
-    n = N
-    while d * d <= n:
-        if n % d == 0:
-            if d % 12 == 11 and torsion_criterion(d):
-                return d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1 and n % 12 == 11 and torsion_criterion(n):
-        return n
-    return None
 
 
 _SAMPLE_LETTERS = None

@@ -4,17 +4,16 @@ Matrices are dense, row-major lists of lists of Python ints, so everything
 is arbitrary precision for free.  The column-vector convention is used
 throughout the package: a matrix acts on coefficient vectors from the left.
 
-The two normal forms here are classical:
+The one normal form here is Smith's: U * A * V = S with U, V unimodular
+and S diagonal, nonnegative, each diagonal entry dividing the next.  It is
+returned as a SmithLattice, which also reads the lattice spanned by the
+columns of A through it.
 
-* Smith: U * A * V = S with U, V unimodular and S diagonal, nonnegative,
-  each diagonal entry dividing the next.
-* Hermite (row style): U * A = H with U unimodular, H in row echelon form,
-  pivots positive, entries above each pivot reduced into [0, pivot).
-
-Both rest on one in-place row echelon routine.  Transforms ride along as
-appended columns: reducing the rows of [A | I] leaves U in the right-hand
-block, and the Smith form alternates passes on [S | U] and [S^T | V^T].
-rank reduces the bare rows and carries no transform.
+Smith, rank and invert_unimodular rest on one in-place row echelon routine.
+Transforms ride along as appended columns: reducing the rows of [A | I]
+leaves U in the right-hand block, and the Smith form alternates passes on
+[S | U] and [S^T | V^T].  rank reduces the bare rows and carries no
+transform.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -168,22 +167,102 @@ def hstack(mats):
     return IntMatrix(data, cols=sum(m.cols for m in mats))
 
 
-class SmithDecomposition:
-    """Triple U, S, V with U * A * V = S in Smith normal form."""
+class SmithLattice:
+    """A Smith form U*A*V = S, read as the lattice spanned by A's columns.
 
-    __slots__ = ("U", "S", "V")
+    SmithLattice(A) is smith_normal_form(A).  A vector v lies in the
+    lattice exactly when each entry of U*v is divisible by the matching
+    diagonal entry of S (entries past the rank must vanish).  That one test
+    gives coordinates, a refuting functional, and the order of v modulo the
+    lattice.
+    """
 
-    def __init__(self, U, S, V):
-        self.U = U
-        self.S = S
-        self.V = V
+    __slots__ = ("A", "U", "S", "V", "_diag")
+
+    def __new__(cls, A):
+        return smith_normal_form(A)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the same form from A
+        return smith_normal_form, (self.A,)
 
     def diagonal(self):
-        n = min(self.S.rows, self.S.cols)
-        return [self.S.data[i][i] for i in range(n)]
+        return self._diag[:self.S.cols]
 
     def rank(self):
-        return sum(1 for d in self.diagonal() if d != 0)
+        return sum(1 for d in self._diag if d)
+
+    def coords(self, v):
+        """Integer x with A*x = v, or None when v is outside the lattice."""
+        y = [0] * self.V.rows
+        for i, (c, d) in enumerate(zip(self.U.mulvec(v), self._diag)):
+            if d:
+                q, r = divmod(c, d)
+                if r:
+                    return None
+                y[i] = q
+            elif c:
+                return None
+        return self.V.mulvec(y)
+
+    def refute(self, v):
+        """A non-membership voucher for v, or None when v is in the lattice.
+
+        Returns (u, m): a row of U with u.A = 0 mod m but u.v != 0 mod m,
+        where m = 0 means exact vanishing.
+        """
+        for i, (c, d) in enumerate(zip(self.U.mulvec(v), self._diag)):
+            if c % d if d else c:
+                return list(self.U.data[i]), d
+        return None
+
+    def order(self, v):
+        """Order of v modulo the lattice; None means infinite."""
+        m = 1
+        for c, d in zip(self.U.mulvec(v), self._diag):
+            if d:
+                m = lcm(m, d // gcd(d, c))
+            elif c:
+                return None
+        return m
+
+    def torsion_generators(self):
+        """Pairs (A*V[:, i] / d_i, d_i) over the diagonal entries d_i > 1.
+
+        A*V[:, i] is d_i times column i of U^-1, so each quotient is an
+        integer vector whose class modulo the lattice has order d_i, and
+        the classes generate the torsion of Z^rows / lattice.
+        """
+        out = []
+        for i, d in enumerate(self.diagonal()):
+            if d > 1:
+                col = self.A.mulvec(self.V.column(i))
+                if any(x % d for x in col):
+                    raise RuntimeError(
+                        "Smith column not divisible by its entry")
+                out.append(([x // d for x in col], d))
+        return out
+
+    def free_complement(self):
+        """The columns of U^-1 past the rank.
+
+        Their classes are a basis of Z^rows / lattice modulo torsion.
+        """
+        u_inv = invert_unimodular(self.U)
+        return [u_inv.column(i) for i in range(self.rank(), self.U.rows)]
+
+    def coordinate_lattice(self, B):
+        """The lattice spanned by the coordinates of B's columns in A's.
+
+        A's columns must be independent and B's columns must lie in the
+        lattice; otherwise ValueError.
+        """
+        if self.rank() != self.A.cols:
+            raise ValueError("columns of A are not independent")
+        coords = [self.coords(col) for col in B.columns()]
+        if None in coords:
+            raise ValueError("columns of B outside the lattice of A")
+        return SmithLattice(IntMatrix.from_columns(coords, rows=self.A.cols))
 
 
 def _augment(A):
@@ -252,8 +331,8 @@ def _echelon(rows, n):
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
-    Returns a SmithDecomposition (U, S, V) with U*A*V = S, both transforms
-    unimodular, S diagonal with nonnegative entries in a divisibility chain.
+    Returns a SmithLattice with U*A*V = S, both transforms unimodular, S
+    diagonal with nonnegative entries in a divisibility chain.
 
     Reduction alternates row Hermite passes on [S | U] and on [S^T | V^T].
     Each pass keeps entries reduced modulo the pivots, which is what keeps
@@ -318,22 +397,14 @@ def smith_normal_form(A):
             vi, vj = vt[i], vt[i + 1]
             vt[i] = [p + q for p, q in zip(vi, vj)]
             vt[i + 1] = [-yb * p + xa * q for p, q in zip(vi, vj)]
-    S = [[s[i] if i == j else 0 for j in range(n)] for i in range(m)]
-    V = [[row[j] for row in vt] for j in range(n)]
-    return SmithDecomposition(IntMatrix(u), IntMatrix(S, cols=n), IntMatrix(V))
-
-
-def hermite_normal_form(A):
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U*A = H, U unimodular.  H is in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot).
-    """
-    n = A.cols
-    rows = _augment(A)
-    _echelon(rows, n)
-    return (IntMatrix([row[:n] for row in rows], cols=n),
-            IntMatrix([row[n:] for row in rows]))
+    snf = object.__new__(SmithLattice)
+    snf.A = A
+    snf.U = IntMatrix(u)
+    snf.S = IntMatrix([[s[i] if i == j else 0 for j in range(n)]
+                       for i in range(m)], cols=n)
+    snf.V = IntMatrix([[row[j] for row in vt] for j in range(n)])
+    snf._diag = s + [0] * (m - len(s))  # one entry per row of U*v
+    return snf
 
 
 def rank(A):
@@ -360,57 +431,6 @@ def kernel_basis(A):
                 break
         cols.append(c)
     return IntMatrix.from_columns(cols, rows=A.cols)
-
-
-class SmithLattice:
-    """The lattice spanned by the columns of A, read through one Smith form.
-
-    With U*A*V = S, a vector v lies in the lattice exactly when each entry
-    of U*v is divisible by the matching diagonal entry of S (entries past
-    the rank must vanish).  That one test gives coordinates, a refuting
-    functional, and the order of v modulo the lattice.
-    """
-
-    __slots__ = ("snf", "_diag")
-
-    def __init__(self, A):
-        self.snf = smith_normal_form(A)
-        diag = self.snf.diagonal()
-        self._diag = diag + [0] * (A.rows - len(diag))
-
-    def coords(self, v):
-        """Integer x with A*x = v, or None when v is outside the lattice."""
-        y = [0] * self.snf.V.rows
-        for i, (c, d) in enumerate(zip(self.snf.U.mulvec(v), self._diag)):
-            if d:
-                q, r = divmod(c, d)
-                if r:
-                    return None
-                y[i] = q
-            elif c:
-                return None
-        return self.snf.V.mulvec(y)
-
-    def refute(self, v):
-        """A non-membership voucher for v, or None when v is in the lattice.
-
-        Returns (u, m): a row of U with u.A = 0 mod m but u.v != 0 mod m,
-        where m = 0 means exact vanishing.
-        """
-        for i, (c, d) in enumerate(zip(self.snf.U.mulvec(v), self._diag)):
-            if c % d if d else c:
-                return list(self.snf.U.data[i]), d
-        return None
-
-    def order(self, v):
-        """Order of v modulo the lattice; None means infinite."""
-        m = 1
-        for c, d in zip(self.snf.U.mulvec(v), self._diag):
-            if d:
-                m = lcm(m, d // gcd(d, c))
-            elif c:
-                return None
-        return m
 
 
 def solve_integer(A, b):
@@ -502,12 +522,5 @@ def quotient_invariants(K, B):
     the lattice spanned by K; a column outside it raises ValueError, since the
     quotient would not be defined.
     """
-    lattice = SmithLattice(K)
-    if lattice.snf.rank() != K.cols:
-        raise ValueError("columns of K are not independent")
-    coeffs = [lattice.coords(col) for col in B.columns()]
-    if None in coeffs:
-        raise ValueError("columns of B outside the lattice of K")
-    C = IntMatrix.from_columns(coeffs, rows=K.cols)
-    diag = [d for d in smith_normal_form(C).diagonal() if d]
+    diag = [d for d in SmithLattice(K).coordinate_lattice(B).diagonal() if d]
     return AbelianInvariants(K.cols - len(diag), [d for d in diag if d > 1])

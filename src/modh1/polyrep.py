@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .linalg import IntMatrix, kernel_basis, rank, vstack
+from .linalg import IntMatrix, rank, vstack
 
 
 class Mat2:
@@ -155,12 +155,6 @@ def rho_matrix(A, n):
     return IntMatrix.from_columns(cols, rows=n + 1)
 
 
-def act(A, coeffs):
-    """Apply A to a coefficient vector; degree is inferred from the length."""
-    coeffs = list(coeffs)
-    return rho_matrix(A, len(coeffs) - 1).mulvec(coeffs)
-
-
 def rep_trace(A, n):
     """Trace of the degree-n action of A, without building the full matrix."""
     total = 0
@@ -199,15 +193,3 @@ def common_fixed_dim(mats, n):
     eye = IntMatrix.identity(n + 1)
     stacked = vstack([rho_matrix(A, n) - eye for A in mats])
     return n + 1 - rank(stacked)
-
-
-def w_split(n):
-    """Bases of the symmetric and antisymmetric forms under the swap.
-
-    The swap W interchanges X and Y, so it acts on coefficient vectors by
-    reversal.  Returns (plus, minus), the kernels of W - 1 and W + 1; for
-    even n their column counts are n/2 + 1 and n/2.
-    """
-    w = rho_matrix(GEN_W, n)
-    eye = IntMatrix.identity(n + 1)
-    return kernel_basis(w - eye), kernel_basis(w + eye)

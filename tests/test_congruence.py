@@ -22,8 +22,6 @@ from modh1.congruence import (
     certify_membership_sample,
     coset_table,
     find_torsion,
-    gamma0_member,
-    gamma1_free_reason,
     gamma1_member,
     legendre,
     lift_to_sl2,
@@ -71,18 +69,14 @@ class TestLegendre:
 
 
 class TestMembership:
-    def test_gamma0(self):
-        assert gamma0_member(Mat2(1, 0, 4, 1), 2)
-        assert not gamma0_member(Mat2(1, 0, 1, 1), 2)
-        assert gamma0_member(Mat2(1, 1, 0, 1), 7)
-
     def test_gamma1(self):
         assert gamma1_member(Mat2(3, 1, 2, 1), 2)
         assert not gamma1_member(Mat2(1, 0, 1, 1), 2)
         assert gamma1_member(Mat2(1, 5, 0, 1), 3)
         # lower-left divisible but diagonal wrong: gamma0 without gamma1
-        assert gamma0_member(Mat2(2, 1, 3, 2), 3)
-        assert not gamma1_member(Mat2(2, 1, 3, 2), 3)
+        g = Mat2(2, 1, 3, 2)
+        assert g.c % 3 == 0
+        assert not gamma1_member(g, 3)
 
     def test_gamma1_level_one_is_everything(self):
         for g in (Mat2(1, 0, 0, 1), Mat2(2, 1, 1, 1), Mat2(0, -1, 1, 0),
@@ -91,8 +85,6 @@ class TestMembership:
         assert membership_mismatches(1, count=20) == 0
 
     def test_determinant_guard(self):
-        with pytest.raises(ValueError):
-            gamma0_member(Mat2(1, 0, 0, 2), 3)
         with pytest.raises(ValueError):
             gamma1_member(Mat2(2, 0, 0, 1), 3)
         with pytest.raises(ValueError):
@@ -317,12 +309,3 @@ class TestLift:
         assert checks and all(c["pass"] for c in checks)
         refuted = {e["name"] for e in cert.payload["overgroups"]}
         assert refuted == {"K x <eps>", "sl2"}
-
-
-class TestGamma1Freeness:
-    def test_prime_reason(self):
-        assert gamma1_free_reason(11) == 11
-        assert gamma1_free_reason(22) == 11
-        assert gamma1_free_reason(23) == 23
-        assert gamma1_free_reason(5) is None
-        assert gamma1_free_reason(12) is None

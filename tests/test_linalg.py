@@ -9,7 +9,6 @@ from modh1.linalg import (
     AbelianInvariants,
     IntMatrix,
     SmithLattice,
-    hermite_normal_form,
     hstack,
     invert_unimodular,
     kernel_basis,
@@ -81,25 +80,6 @@ def test_smith_diag_2_3():
     assert abs(sym_det(snf.V)) == 1
 
 
-def test_hermite_canonical():
-    # By hand: [[2,4],[1,3]] row-reduces to [[1,1],[0,2]] once the entry above
-    # the second pivot is brought into [0, 2).  U = [[1,-1],[-1,2]] checks out.
-    a = IntMatrix([[2, 4], [1, 3]])
-    h, u = hermite_normal_form(a)
-    assert h == IntMatrix([[1, 1], [0, 2]])
-    assert u * a == h
-    assert abs(sym_det(u)) == 1
-
-
-def test_hermite_idempotent():
-    rng = random.Random(5)
-    for _ in range(30):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        h, u = hermite_normal_form(a)
-        h2, _ = hermite_normal_form(h)
-        assert h2 == h
-
-
 def test_kernel_row_vector():
     k = kernel_basis(IntMatrix([[1, 1]]))
     assert k.cols == 1
@@ -155,25 +135,6 @@ def assert_smith(a, snf):
     assert nz == sym_invariant_factors(a)
 
 
-def assert_hermite(a, h, u):
-    # U*A = H, U unimodular, H in echelon form with positive pivots and
-    # entries above each pivot reduced into [0, pivot)
-    assert u * a == h
-    assert abs(sym_det(u)) == 1
-    last = -1
-    for i, row in enumerate(h.data):
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            assert not any(any(r) for r in h.data[i:])
-            break
-        p = nz[0]
-        assert p > last
-        last = p
-        assert row[p] > 0
-        for i2 in range(i):
-            assert 0 <= h.data[i2][p] < row[p]
-
-
 def test_smith_properties_random():
     rng = random.Random(7)
     for _ in range(60):
@@ -181,14 +142,6 @@ def test_smith_properties_random():
         n = rng.randint(1, 6)
         a = random_matrix(rng, m, n)
         assert_smith(a, smith_normal_form(a))
-
-
-def test_hermite_properties_random():
-    rng = random.Random(13)
-    for _ in range(60):
-        a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        h, u = hermite_normal_form(a)
-        assert_hermite(a, h, u)
 
 
 def test_kernel_properties_random():
@@ -356,7 +309,17 @@ class TestNormalFormProperties:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(a=int_matrices())
-    def test_hermite_and_inverse(self, a):
-        h, u = hermite_normal_form(a)
-        assert_hermite(a, h, u)
-        assert invert_unimodular(u) * u == IntMatrix.identity(a.rows)
+    def test_lattice_readings(self, a):
+        # U is inverted exactly, each torsion generator has exactly its
+        # stated order modulo the column lattice, and the free complement
+        # together with the lattice spans a sublattice of full rank
+        lattice = smith_normal_form(a)
+        u_inv = invert_unimodular(lattice.U)
+        assert u_inv * lattice.U == IntMatrix.identity(a.rows)
+        for vec, d in lattice.torsion_generators():
+            assert lattice.order(vec) == d
+        free = lattice.free_complement()
+        assert len(free) == a.rows - rank(a)
+        assert all(lattice.order(v) is None for v in free)
+        stacked = hstack([a, IntMatrix.from_columns(free, rows=a.rows)])
+        assert rank(stacked) == a.rows

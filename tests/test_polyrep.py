@@ -9,13 +9,11 @@ from modh1.polyrep import (
     GEN_T,
     GEN_W,
     Mat2,
-    act,
     alt_diagonal_sum,
     common_fixed_dim,
     eta,
     rep_trace,
     rho_matrix,
-    w_split,
 )
 
 X, Y = sympy.symbols("x y")
@@ -91,12 +89,12 @@ def test_generator_actions_on_monomials():
 
 def test_act_on_quadratic_difference():
     # S fixes X^2 - Y^2 up to sign: P(Y, -X) = Y^2 - X^2.
-    assert act(GEN_S, [1, 0, -1]) == [-1, 0, 1]
+    assert rho_matrix(GEN_S, 2).mulvec([1, 0, -1]) == [-1, 0, 1]
     # T^-1 substitutes (X - Y, X).
     tinv = GEN_T.inv()
     poly = sympy.Poly(sympy.expand((X - Y) ** 2 - X ** 2), X, Y)
     expect = [int(poly.coeff_monomial(X ** (2 - j) * Y ** j)) for j in range(3)]
-    assert act(tinv, [1, 0, -1]) == expect
+    assert rho_matrix(tinv, 2).mulvec([1, 0, -1]) == expect
 
 
 def test_eps_acts_by_parity():
@@ -126,20 +124,6 @@ def test_trace_of_order6_inverse_is_eta():
     tinv = GEN_T.inv()
     for n in range(0, 41, 2):
         assert rep_trace(tinv, n) == eta(n)
-
-
-def test_w_split_dimensions():
-    for n in range(2, 21, 2):
-        plus, minus = w_split(n)
-        assert plus.cols == n // 2 + 1
-        assert minus.cols == n // 2
-        w = rho_matrix(GEN_W, n)
-        for j in range(plus.cols):
-            col = plus.column(j)
-            assert w.mulvec(col) == col
-        for j in range(minus.cols):
-            col = minus.column(j)
-            assert w.mulvec(col) == [-x for x in col]
 
 
 def test_common_fixed_dim():

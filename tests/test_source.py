@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 import modh1
@@ -40,3 +41,26 @@ def test_stdlib_only_imports():
                          for module in modules
                          if module.split(".")[0] not in sys.stdlib_module_names)
     assert found == []
+
+
+def test_public_names_have_callers():
+    # a public module-level function or class stays only while something
+    # names it besides its own definition: the library, the README or the
+    # acceptance gate, so test-only API does not grow back
+    root = pathlib.Path(__file__).resolve().parents[1]
+    docs = " ".join((root / name).read_text(encoding="utf-8")
+                    for name in ("README.md", "tests/test_acceptance.py"))
+    defined, named = [], set(re.findall(r"\w+", docs))
+    for module, tree in module_trees():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert [d for d in defined if d[1] not in named] == []
