@@ -323,8 +323,9 @@ def certify_noncoboundary(presentation, assignment, n, cocycle):
 CERTIFICATE_FORMAT = "modh1-certificate-1"
 
 # Re-checking a degree n certificate takes kernels of stacked (n + 1)-square
-# blocks, at a cost growing about as n^6: a gl2 overgroup at degree 120 takes
-# about 15 s on a 2-vCPU Xeon.  The CLI writes no higher degree.
+# blocks, at a cost growing about as n^6: `verify-certificate` on a
+# `witness --kind ba:120,1` certificate (gl2 overgroup) takes about 9 s on a
+# 2-vCPU Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
 
 

@@ -17,6 +17,18 @@ transform.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
+
+Products skip zero entries: row i of A*B is built as the sum of
+a_ik * (row k of B) over the nonzero a_ik and the nonzero entries of row
+k (Gustavson, ACM TOMS 4, 1978).  The matrices the package multiplies
+are mostly zeros: rho_n(S) and rho_n(W) are signed permutation matrices,
+rho_n(T) is about half zeros, and the relator condition matrix has whole
+zero blocks.  A product with a signed permutation matrix then costs
+O(d^2), not d^3.
+
+The public constructor copies its rows and checks every entry.  Matrices
+whose rows linalg has just built itself go through IntMatrix._of, which
+does neither; nothing outside this module calls it.
 """
 
 from __future__ import annotations
@@ -48,26 +60,44 @@ class IntMatrix:
 
     def __init__(self, data, cols=None):
         data = [list(row) for row in data]
-        self.rows = len(data)
         if data:
-            self.cols = len(data[0])
-        else:
-            self.cols = 0 if cols is None else cols
+            if cols is not None and cols != len(data[0]):
+                raise ValueError("cols=%r but the rows have %d entries"
+                                 % (cols, len(data[0])))
+            cols = len(data[0])
+        elif cols is None:
+            cols = 0
         for row in data:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ValueError("ragged rows")
             for x in row:
                 if not isinstance(x, int):
                     raise TypeError("integer entries required")
+        self.rows = len(data)
+        self.cols = cols
         self.data = data
 
     @classmethod
+    def _of(cls, data, cols):
+        """Wrap rows just built in this module: no copy, no entry check.
+
+        The caller owns data, which must be a fresh list of fresh lists of
+        ints, each of length cols, shared with no other matrix.
+        """
+        m = object.__new__(cls)
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[1 if i == j else 0 for j in range(n)]
+                        for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -87,33 +117,39 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.data,)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self.data], cols=self.cols)
+        return IntMatrix._of([[-x for x in row] for row in self.data],
+                             self.cols)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return IntMatrix([[x + y for x, y in zip(r, s)]
-                          for r, s in zip(self.data, other.data)], cols=self.cols)
+        return IntMatrix._of([[x + y for x, y in zip(r, s)]
+                              for r, s in zip(self.data, other.data)],
+                             self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[x * other for x in row] for row in self.data],
-                             cols=self.cols)
+            return IntMatrix._of([[x * other for x in row]
+                                  for row in self.data], self.cols)
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        bt = list(zip(*other.data)) if other.data else []
+        n = other.cols
+        # row i of A*B is the sum of a_ik * (row k of B) over nonzero a_ik
+        brows = [[(j, y) for j, y in enumerate(row) if y]
+                 for row in other.data]
         out = []
         for arow in self.data:
-            if bt:
-                out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
-            else:
-                # A (m x 0) times (0 x n) is the m x n zero matrix.
-                out.append([0] * other.cols if self.cols == 0 else [])
-        return IntMatrix(out, cols=other.cols)
+            acc = [0] * n
+            for x, brow in zip(arow, brows):
+                if x:
+                    for j, y in brow:
+                        acc[j] += x * y
+            out.append(acc)
+        return IntMatrix._of(out, n)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -125,14 +161,12 @@ class IntMatrix:
         v = list(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(x * y for x, y in zip(row, v)) for row in self.data]
+        return [sum(x * y for x, y in zip(row, v) if x) for row in self.data]
 
     def transpose(self):
         if self.rows == 0:
-            return IntMatrix([[] for _ in range(self.cols)], cols=0)
-        if self.cols == 0:
-            return IntMatrix([], cols=self.rows)
-        return IntMatrix([list(r) for r in zip(*self.data)], cols=self.rows)
+            return IntMatrix._of([[] for _ in range(self.cols)], 0)
+        return IntMatrix._of([list(r) for r in zip(*self.data)], self.rows)
 
     def column(self, j):
         return [row[j] for row in self.data]
@@ -152,7 +186,7 @@ def vstack(mats):
         if m.cols != cols:
             raise ValueError("column mismatch in vstack")
         data.extend(list(row) for row in m.data)
-    return IntMatrix(data, cols=cols)
+    return IntMatrix._of(data, cols)
 
 
 def hstack(mats):
@@ -164,7 +198,7 @@ def hstack(mats):
             raise ValueError("row mismatch in hstack")
         for i in range(rows):
             data[i].extend(m.data[i])
-    return IntMatrix(data, cols=sum(m.cols for m in mats))
+    return IntMatrix._of(data, sum(m.cols for m in mats))
 
 
 class SmithLattice:
@@ -399,10 +433,10 @@ def smith_normal_form(A):
             vt[i + 1] = [-yb * p + xa * q for p, q in zip(vi, vj)]
     snf = object.__new__(SmithLattice)
     snf.A = A
-    snf.U = IntMatrix(u)
-    snf.S = IntMatrix([[s[i] if i == j else 0 for j in range(n)]
-                       for i in range(m)], cols=n)
-    snf.V = IntMatrix([[row[j] for row in vt] for j in range(n)])
+    snf.U = IntMatrix._of(u, m)
+    snf.S = IntMatrix._of([[s[i] if i == j else 0 for j in range(n)]
+                           for i in range(m)], n)
+    snf.V = IntMatrix._of([[row[j] for row in vt] for j in range(n)], n)
     snf._diag = s + [0] * (m - len(s))  # one entry per row of U*v
     return snf
 
@@ -447,7 +481,7 @@ def invert_unimodular(M):
     _echelon(rows, n)
     if [row[:n] for row in rows] != IntMatrix.identity(n).data:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix([row[n:] for row in rows])
+    return IntMatrix._of([row[n:] for row in rows], n)
 
 
 class AbelianInvariants:

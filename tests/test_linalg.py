@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix as SymMatrix
@@ -68,6 +69,99 @@ def test_empty_shapes():
     f = IntMatrix([[], []], cols=0)     # 2 x 0
     assert f.transpose().rows == 0 and f.transpose().cols == 2
     assert (f * IntMatrix([], cols=4)) == IntMatrix.zeros(2, 4)
+
+
+def test_constructor_checks_its_input():
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2.0]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], cols=5)
+    assert IntMatrix([[1, 2]], cols=2) == IntMatrix([[1, 2]])
+
+
+BIG = 2 ** 200  # 201 bits
+NONZERO = st.one_of(st.integers(1, 9), st.integers(-9, -1),
+                    st.integers(BIG, BIG ** 2), st.integers(-BIG ** 2, -BIG))
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """All-zero, sparse, full, or a signed permutation (square only)."""
+    kinds = ("zero", "sparse", "full") + (("perm",) if rows == cols else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "perm":
+        perm = draw(st.permutations(range(rows)))
+        signs = draw(st.lists(st.sampled_from((1, -1)),
+                              min_size=rows, max_size=rows))
+        return IntMatrix([[signs[i] if j == perm[i] else 0
+                           for j in range(cols)] for i in range(rows)])
+    if kind == "zero":
+        entry = st.just(0)
+    elif kind == "sparse":
+        entry = st.one_of(st.just(0), NONZERO)
+    else:
+        entry = NONZERO
+    return IntMatrix(draw(st.lists(
+        st.lists(entry, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)), cols=cols)
+
+
+def triple_loop(a, b):
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a.data[i][k] * b.data[k][j]
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_product_matches_triple_loop(data):
+    m, k, n = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(matrices(m, k))
+    b = data.draw(matrices(k, n))
+    c = a * b
+    assert (c.rows, c.cols) == (m, n)
+    assert c.data == triple_loop(a, b)
+    v = data.draw(matrices(k, 1)).column(0)
+    assert a.mulvec(v) == [row[0] for row in triple_loop(
+        a, IntMatrix.from_columns([v], rows=k))]
+
+
+RESULTS = {
+    "a * b": lambda a, b: a * b,
+    "b * a": lambda a, b: b * a,
+    "a * 1": lambda a, b: a * 1,
+    "a + b": lambda a, b: a + b,
+    "b + a": lambda a, b: b + a,
+    "a - b": lambda a, b: a - b,
+    "-a": lambda a, b: -a,
+    "transpose": lambda a, b: a.transpose(),
+    "vstack": lambda a, b: vstack([a, b]),
+    "hstack": lambda a, b: hstack([a, b]),
+    "identity": lambda a, b: IntMatrix.identity(2),
+    "zeros": lambda a, b: IntMatrix.zeros(2, 2),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RESULTS))
+def test_results_share_no_rows(op):
+    # _echelon edits rows in place, so a result row shared with an operand,
+    # another row or a later result would corrupt it
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    a, b = IntMatrix(eye), IntMatrix(zero)
+    c = RESULTS[op](a, b)
+    before = [list(row) for row in c.data]
+    for i, row in enumerate(c.data):
+        row[0] += 5
+        assert c.data[:i] + c.data[i + 1:] == before[:i] + before[i + 1:]
+        assert a.data == eye and b.data == zero
+        assert IntMatrix.identity(2).data == eye
+        assert IntMatrix.zeros(2, 2).data == zero
+        row[0] -= 5
 
 
 def test_smith_diag_2_3():

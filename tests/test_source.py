@@ -64,3 +64,12 @@ def test_public_names_have_callers():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
     assert [d for d in defined if d[1] not in named] == []
+
+
+def test_trusted_constructor_stays_in_linalg():
+    # IntMatrix._of neither copies nor checks its rows, so matrices built
+    # from certificate JSON, CLI input or other modules go through the
+    # checked IntMatrix constructor
+    callers = {name for name, tree in module_trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "_of"}
+    assert callers == {"linalg.py"}
