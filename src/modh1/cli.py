@@ -27,6 +27,8 @@ from .cohomology import (
     Overgroup,
     certify_nonextendable,
     certify_noncoboundary,
+    certificate_letters,
+    check_cost,
     check_degree,
     cokernel_rank,
     h1,
@@ -453,6 +455,8 @@ def _witness_free_lift(args, p, report):
     check_degree(args.n)
     basis = schreier_free_basis(p)
     lift = lift_to_sl2(basis)
+    # refuse a certificate too costly to re-check before building it
+    check_cost(args.n, certificate_letters(lift.presentation, lift.overgroups))
     res = h1(lift.presentation, lift.assignment.rep(args.n))
     report.record("basis_rank", len(basis.words))
     report.record("h1_free_rank", res.invariants.free_rank)

@@ -22,6 +22,7 @@ from .linalg import (
     AbelianInvariants,
     IntMatrix,
     SmithLattice,
+    cokernel_torsion,
     hstack,
     kernel_basis,
     quotient_invariants,
@@ -109,13 +110,13 @@ class H1Result:
     def free_basis(self):
         """Cocycles whose classes form a basis of H^1 modulo torsion.
 
-        Built on first access: K times the free complement of the lattice
-        of coordinates of B^1 in a kernel basis K of Z^1.
+        Built on first access, as one product: K times the free complement
+        of the lattice of coordinates of B^1 in a kernel basis K of Z^1.
         """
         K, _, coords = _coboundary_coordinates(self.presentation, self.rep)
-        return [Cocycle.from_stacked(self.presentation, K.mulvec(c),
-                                     self.rep[0].rows)
-                for c in coords.free_complement()]
+        X = IntMatrix.from_columns(coords.free_complement(), rows=K.cols)
+        return [Cocycle.from_stacked(self.presentation, c, self.rep[0].rows)
+                for c in (K * X).columns()]
 
 
 def coboundary_matrix(rep):
@@ -140,10 +141,10 @@ def h1(presentation, rep):
     B = coboundary_matrix(rep)
     if not (R * B).is_zero():
         raise RuntimeError("coboundaries outside the cocycle lattice")
-    lattice = SmithLattice(B)
+    rank_b, torsion = cokernel_torsion(B)
     torsion_basis = [(Cocycle.from_stacked(presentation, vec, d), di)
-                     for vec, di in lattice.torsion_generators()]
-    invariants = AbelianInvariants(B.rows - rank(R) - lattice.rank(),
+                     for vec, di in torsion]
+    invariants = AbelianInvariants(B.rows - rank(R) - rank_b,
                                    [t for _, t in torsion_basis])
     return H1Result(invariants, torsion_basis, presentation, rep)
 
@@ -274,7 +275,9 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     raised; otherwise a Smith-form functional refuting membership is stored.
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
-    sub_rep = sub_assignment.rep(check_degree(n))
+    check_cost(check_degree(n),
+               certificate_letters(sub_presentation, overgroups))
+    sub_rep = sub_assignment.rep(n)
     if not _is_cocycle(sub_presentation, sub_rep, cocycle):
         raise ValueError("not a cocycle")
     B_sub = coboundary_matrix(sub_rep)
@@ -303,7 +306,8 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
 
 def certify_noncoboundary(presentation, assignment, n, cocycle):
     """A certificate that the cocycle is not a coboundary."""
-    rep = assignment.rep(check_degree(n))
+    check_cost(check_degree(n), certificate_letters(presentation))
+    rep = assignment.rep(n)
     if not _is_cocycle(presentation, rep, cocycle):
         raise ValueError("not a cocycle")
     refutation = _refutation(coboundary_matrix(rep), cocycle.stacked())
@@ -324,9 +328,15 @@ CERTIFICATE_FORMAT = "modh1-certificate-1"
 
 # Re-checking a degree n certificate takes kernels of stacked (n + 1)-square
 # blocks, at a cost growing about as n^6: `verify-certificate` on a
-# `witness --kind ba:120,1` certificate (gl2 overgroup) takes about 9 s on a
+# `witness --kind ba:120,1` certificate (gl2 overgroup) takes about 4 s on a
 # 2-vCPU Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
+
+# Each letter of a relator or embedding word costs one product of
+# (n + 1)-square matrices in its Fox Jacobian.  The budget on letters times
+# (n + 1)^3 is that of `witness --kind ba:120,1`, the costliest certificate
+# the CLI writes: 30 letters (sl2 and gl2 relators, embedding words s, t).
+CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
 
 def check_degree(n):
@@ -335,6 +345,32 @@ def check_degree(n):
         raise ValueError("degree must be an integer in [0, %d], got %r"
                          % (CERT_MAX_DEGREE, n))
     return n
+
+
+def check_cost(n, letters):
+    """ValueError unless letters * (n + 1)^3 is within CERT_MAX_COST."""
+    cost = letters * (n + 1) ** 3
+    if cost > CERT_MAX_COST:
+        raise ValueError("%d letters at degree %d cost %d, over the budget "
+                         "of %d" % (letters, n, cost, CERT_MAX_COST))
+
+
+def certificate_letters(sub_presentation, overgroups=()):
+    """Letters in the relators and embedding words a certificate stores."""
+    words = list(sub_presentation.relators)
+    for og in overgroups:
+        words += og.presentation.relators + og.embedding.words
+    return sum(len(w) for w in words)
+
+
+def _payload_letters(payload):
+    # certificate_letters of a payload, counted from the text, so that an
+    # exponent such as s^1000000000 is not expanded first
+    texts = list(payload["subgroup"]["relators"])
+    for og in payload.get("overgroups", ()):
+        texts += og["relators"] + og["embedding"]
+    return sum(abs(int(token.partition("^")[2] or 1))
+               for text in texts for token in str.split(text))
 
 
 def _presentation_payload(presentation, assignment):
@@ -396,7 +432,8 @@ class Certificate:
             return checks
         try:
             n = check_degree(p["degree"])
-        except (KeyError, ValueError) as e:
+            check_cost(n, _payload_letters(p))
+        except (KeyError, TypeError, ValueError) as e:
             check("payload fields", False, actual=repr(e))
             return checks
         sub_pres, sub_assign = _presentation_from_payload(p["subgroup"])

@@ -194,58 +194,57 @@ def find_torsion(p):
 
 
 # Elements of the projective modular group in free product normal form:
-# tuples over the tokens "s" (the involution) and "t", "T" (the order 3
+# strings over the tokens "s" (the involution) and "t", "T" (the order 3
 # generator and its inverse), with adjacent tokens always from different
 # factors.  This is the length function Nielsen reduction runs on.
 
-_T_EXP = {"t": 1, "T": 2}
-_T_TOK = {1: "t", 2: "T"}
+_INVERT = str.maketrans("tT", "Tt")
 
 
 def _syllable_mul(a, b):
-    out = list(a)
-    for tok in b:
-        if not out:
-            out.append(tok)
-            continue
-        last = out[-1]
-        if last == "s" and tok == "s":
-            out.pop()
-        elif last != "s" and tok != "s":
-            e = (_T_EXP[last] + _T_EXP[tok]) % 3
-            out.pop()
-            if e:
-                out.append(_T_TOK[e])
-        else:
-            out.append(tok)
-    return tuple(out)
+    """Normal form of a*b, for normal forms a and b.
+
+    Only the junction changes: walk back from the end of a and forward
+    from the start of b while tokens cancel (s s, t T, T t); a t t or T T
+    pair merges into one token (t^2 = T), after which the neighbours come
+    from the other factor and nothing more cancels.
+    """
+    i, j = len(a), 0
+    while i and j < len(b):
+        x, y = a[i - 1], b[j]
+        if x != y and (x == "s" or y == "s"):
+            break
+        if x == y != "s":
+            return a[:i - 1] + x.translate(_INVERT) + b[j + 1:]
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
 
 
 def _syllable_inv(a):
-    return tuple("s" if tok == "s" else _T_TOK[3 - _T_EXP[tok]]
-                 for tok in reversed(a))
+    return a[::-1].translate(_INVERT)
 
 
 def _word_to_syllables(word):
-    out = ()
+    """Normal form of a word in the order 4 and order 6 generators."""
+    out = []
     for g, sgn in word.letters:
-        if g == _LETTER_S:
-            out = _syllable_mul(out, ("s",))
+        tok = "s" if g == _LETTER_S else "t" if sgn == 1 else "T"
+        if not out or (out[-1] == "s") != (tok == "s"):
+            out.append(tok)
+        elif out[-1] == tok != "s":
+            out[-1] = tok.translate(_INVERT)
         else:
-            out = _syllable_mul(out, ("t",) if sgn == 1 else ("T",))
-    return out
+            out.pop()
+    return "".join(out)
+
+
+_TOKEN_LETTER = {"s": (_LETTER_S, 1), "t": (_LETTER_T, 1),
+                 "T": (_LETTER_T, -1)}
 
 
 def _syllables_to_word(syl):
-    letters = []
-    for tok in syl:
-        if tok == "s":
-            letters.append((_LETTER_S, 1))
-        elif tok == "t":
-            letters.append((_LETTER_T, 1))
-        else:
-            letters.extend([(_LETTER_T, -1)])
-    return Word(tuple(letters))
+    return Word(tuple(_TOKEN_LETTER[tok] for tok in syl))
 
 
 def _nielsen_reduce(elems):
@@ -255,7 +254,7 @@ def _nielsen_reduce(elems):
     generator or that generator's inverse, or by a conjugate) while any
     move shortens the set, dropping trivial elements and inverse
     duplicates.  Total syllable length strictly decreases, so this
-    terminates.
+    terminates.  Each sweep inverts every element once.
     """
     elems = [e for e in elems if e]
     changed = True
@@ -264,25 +263,23 @@ def _nielsen_reduce(elems):
         # dedupe up to inversion
         canon = {}
         for e in elems:
-            key = min(e, _syllable_inv(e))
-            if key not in canon:
-                canon[key] = e
-        elems = list(canon.values())
-        for i in range(len(elems)):
-            if changed:
-                break
-            a = elems[i]
-            for j in range(len(elems)):
+            e_inv = _syllable_inv(e)
+            canon.setdefault(min(e, e_inv), (e, e_inv))
+        elems = [e for e, _ in canon.values()]
+        inverses = [e_inv for _, e_inv in canon.values()]
+        for i, a in enumerate(elems):
+            for j, (b, b_inv) in enumerate(zip(elems, inverses)):
                 if i == j:
                     continue
-                b = elems[j]
+                ba = _syllable_mul(b, a)
+                b_inv_a = _syllable_mul(b_inv, a)
                 candidates = [
                     _syllable_mul(a, b),
-                    _syllable_mul(a, _syllable_inv(b)),
-                    _syllable_mul(b, a),
-                    _syllable_mul(_syllable_inv(b), a),
-                    _syllable_mul(_syllable_mul(b, a), _syllable_inv(b)),
-                    _syllable_mul(_syllable_mul(_syllable_inv(b), a), b),
+                    _syllable_mul(a, b_inv),
+                    ba,
+                    b_inv_a,
+                    _syllable_mul(ba, b_inv),
+                    _syllable_mul(b_inv_a, b),
                 ]
                 best = min(candidates, key=len)
                 if len(best) < len(a):
@@ -292,6 +289,8 @@ def _nielsen_reduce(elems):
                         elems.pop(i)
                     changed = True
                     break
+            if changed:
+                break
     return elems
 
 
@@ -342,14 +341,16 @@ def schreier_free_basis(p):
     if not torsion_criterion(p):
         raise ValueError("subgroup has torsion for p = %d" % p)
     table = coset_table(p)
+    # each transversal word and its inverse are reduced once
+    w = [_word_to_syllables(word) for word in table.transversal]
+    w_inv = [_syllable_inv(u) for u in w]
 
-    def schreier(perm, letter):
-        return [_word_to_syllables(table.transversal[perm[x]].inverse()
-                                   * letter * table.transversal[x])
+    def schreier(perm, tok):
+        return [_syllable_mul(_syllable_mul(w_inv[perm[x]], tok), w[x])
                 for x in table.points]
 
-    u_s = schreier(table.perm_s, Word(((_LETTER_S, 1),)))
-    u_t = schreier(table.perm_t, Word(((_LETTER_T, 1),)))
+    u_s = schreier(table.perm_s, "s")
+    u_t = schreier(table.perm_t, "t")
 
     basis = []
     done = set()

@@ -13,7 +13,8 @@ Smith, rank and invert_unimodular rest on one in-place row echelon routine.
 Transforms ride along as appended columns: reducing the rows of [A | I]
 leaves U in the right-hand block, and the Smith form alternates passes on
 [S | U] and [S^T | V^T].  rank reduces the bare rows and carries no
-transform.
+transform.  The Smith forms behind kernel_basis and cokernel_torsion, which
+read only V and the diagonal, start from A's bare rows and carry no U.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -208,7 +209,8 @@ class SmithLattice:
     lattice exactly when each entry of U*v is divisible by the matching
     diagonal entry of S (entries past the rank must vanish).  That one test
     gives coordinates, a refuting functional, and the order of v modulo the
-    lattice.
+    lattice.  Forms that kernel_basis and cokernel_torsion reduce inside
+    this module carry no U (it is None) and are never handed out.
     """
 
     __slots__ = ("A", "U", "S", "V", "_diag")
@@ -367,6 +369,17 @@ def smith_normal_form(A):
 
     Returns a SmithLattice with U*A*V = S, both transforms unimodular, S
     diagonal with nonnegative entries in a divisibility chain.
+    """
+    return _smith(A, True)
+
+
+def _smith(A, carry_u):
+    """The one Smith reduction of A.
+
+    With carry_u it reduces the rows of [A | I], whose right-hand block
+    becomes U; otherwise A's bare rows, for readers of V and the diagonal
+    alone, and U is None.  Pivots are chosen from A's columns only, so
+    both give the same diagonal and V.
 
     Reduction alternates row Hermite passes on [S | U] and on [S^T | V^T].
     Each pass keeps entries reduced modulo the pivots, which is what keeps
@@ -375,7 +388,7 @@ def smith_normal_form(A):
     chain with exact 2x2 gcd/lcm transforms.
     """
     m, n = A.rows, A.cols
-    su = _augment(A)
+    su = _augment(A) if carry_u else [list(row) for row in A.data]
     vt = IntMatrix.identity(n).data
     for _ in range(4 + 2 * max(m, n)):
         _echelon(su, n)
@@ -433,7 +446,7 @@ def smith_normal_form(A):
             vt[i + 1] = [-yb * p + xa * q for p, q in zip(vi, vj)]
     snf = object.__new__(SmithLattice)
     snf.A = A
-    snf.U = IntMatrix._of(u, m)
+    snf.U = IntMatrix._of(u, m) if carry_u else None
     snf.S = IntMatrix._of([[s[i] if i == j else 0 for j in range(n)]
                            for i in range(m)], n)
     snf.V = IntMatrix._of([[row[j] for row in vt] for j in range(n)], n)
@@ -452,8 +465,9 @@ def kernel_basis(A):
     The basis spans the full lattice ker(A) in Z^cols, not a finite-index
     sublattice, because it comes from the unimodular column transform of the
     Smith form.  Columns are sign-normalized (first nonzero entry positive).
+    Only V is read, so the reduction carries no U.
     """
-    snf = smith_normal_form(A)
+    snf = _smith(A, False)
     r = snf.rank()
     cols = []
     for j in range(r, A.cols):
@@ -465,6 +479,16 @@ def kernel_basis(A):
                 break
         cols.append(c)
     return IntMatrix.from_columns(cols, rows=A.cols)
+
+
+def cokernel_torsion(A):
+    """The rank of A and the torsion generators of Z^rows / A Z^cols.
+
+    The pairs (vector, order) are those of SmithLattice.torsion_generators;
+    they read only V and the diagonal, so the reduction carries no U.
+    """
+    snf = _smith(A, False)
+    return snf.rank(), snf.torsion_generators()
 
 
 def solve_integer(A, b):

@@ -3,12 +3,14 @@
 import argparse
 import json
 import os
+import random
 import time
 
 import pytest
 
 import modh1.cli
 from modh1.cli import _job_count, main
+from modh1.presentations import Word, builtin, evaluate_word
 
 
 def run_json(capsys, args):
@@ -538,3 +540,57 @@ class TestTamperRejection:
         assert main(args) == 2
         assert time.perf_counter() - start < 0.1
         assert not (tmp_path / "x.json").exists()
+
+    def test_costly_certificate_fails_fast(self, capsys, tmp_path,
+                                           certificates):
+        # a free-lift certificate at degree 31 whose three sl2 embedding
+        # words have 800 letters each, with matching subgroup and K x <eps>
+        # matrices: 2426 letters times 32^3 is over the budget, so the
+        # re-check stops before any linear algebra
+        rng = random.Random(5)
+        pres, assignment = builtin("sl2")
+        payload = json.loads(certificates["lift"])
+        k = len(payload["subgroup"]["generators"])
+        words = [Word([(rng.randrange(2), 1) for _ in range(800)])
+                 for _ in range(k)]
+        mats = [list(evaluate_word(w, assignment.matrices).entries())
+                for w in words]
+        payload["degree"] = 31
+        payload["subgroup"]["matrices"] = mats
+        payload["cocycle"]["values"] = [[1] * 32 for _ in range(k)]
+        kx, sl2 = payload["overgroups"]
+        kx["matrices"][:k] = mats
+        sl2["embedding"] = [w.format(pres.generators) for w in words]
+        start = time.perf_counter()
+        code, report = verify_payload(capsys, tmp_path, payload)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert failed_checks(report) == ["payload fields"]
+        assert "budget" in report["checks"][0]["actual"]
+
+    def test_exponents_are_counted_unexpanded(self, capsys, tmp_path,
+                                              certificates, monkeypatch):
+        # w^1000000000 is counted from its exponent; parsing would expand it
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed before the budget check")
+
+        payload = json.loads(certificates["ba"])
+        payload["overgroups"][0]["relators"].append("w^1000000000")
+        monkeypatch.setattr(Word, "parse", refuse)
+        code, report = verify_payload(capsys, tmp_path, payload)
+        assert code == 1
+        assert failed_checks(report) == ["payload fields"]
+
+    def test_witness_over_budget_is_usage_error(self, capsys, tmp_path,
+                                                monkeypatch):
+        # free-lift:131 has 690 letters, so degree 43 is over the budget;
+        # it is refused before h1 runs and nothing is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("h1 ran before the budget check")
+
+        monkeypatch.setattr(modh1.cli, "h1", refuse)
+        path = tmp_path / "x.json"
+        assert main(["witness", "--kind", "free-lift:131", "--n", "43",
+                     "--cert", str(path)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not path.exists()

@@ -17,6 +17,8 @@ from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 from modh1.cohomology import (
+    _coboundary_coordinates,
+    CERT_MAX_COST,
     CERT_MAX_DEGREE,
     Certificate,
     Cocycle,
@@ -24,6 +26,8 @@ from modh1.cohomology import (
     beps_relation_lattice,
     certify_noncoboundary,
     certify_nonextendable,
+    certificate_letters,
+    check_cost,
     check_degree,
     class_order,
     coboundary_matrix,
@@ -241,6 +245,20 @@ class TestInvariantRoutes:
         assert len(res.free_basis) == res.invariants.free_rank == 4
         for c in res.free_basis:
             assert class_order(lift.presentation, rep, c) is None
+
+    @pytest.mark.parametrize("group,n", [("sl2", 1), ("gl2", 2), ("psl2", 6),
+                                         ("gl2", 9), ("free:3", 2)])
+    def test_free_basis_is_one_product(self, group, n):
+        # K times the free complement, against one K.mulvec per class; an
+        # empty complement gives no classes
+        pres, assignment = builtin(group)
+        rep = assignment.rep(n)
+        res = h1(pres, rep)
+        K, _, coords = _coboundary_coordinates(pres, rep)
+        expected = [Cocycle.from_stacked(pres, K.mulvec(c), n + 1)
+                    for c in coords.free_complement()]
+        assert res.free_basis == expected
+        assert len(expected) == res.invariants.free_rank
 
 
 class TestDimensionFormulas:
@@ -466,6 +484,26 @@ class TestCertificates:
         with pytest.raises(ValueError, match="degree"):
             certify_nonextendable(sp, sa, 10 ** 9, make_ba(2, 1),
                                   [self.gl2_overgroup()])
+
+    def test_cost_budget(self):
+        # the budget is that of ba:120,1, the costliest certificate the CLI
+        # writes, so every ba and beps degree stays within it
+        sp, sa = builtin("sl2")
+        gp, _ = builtin("gl2")
+        letters = certificate_letters(sp, [self.gl2_overgroup()])
+        assert letters == 30
+        assert letters * (CERT_MAX_DEGREE + 1) ** 3 == CERT_MAX_COST
+        check_cost(CERT_MAX_DEGREE, letters)
+        check_cost(CERT_MAX_DEGREE, certificate_letters(gp))
+        with pytest.raises(ValueError, match="budget"):
+            check_cost(CERT_MAX_DEGREE, letters + 1)
+        # a costlier overgroup is refused before anything is built
+        long_word = gp.parse_word("s t " * 8)
+        costly = Overgroup("gl2", gp, builtin("gl2")[1],
+                           Embedding(gp, [long_word, long_word]))
+        with pytest.raises(ValueError, match="budget"):
+            certify_nonextendable(sp, sa, CERT_MAX_DEGREE, make_ba(2, 1),
+                                  [costly])
 
 
 class TestCocycleContainer:

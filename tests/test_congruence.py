@@ -8,16 +8,24 @@ the fractional cocycle characterization of Gamma_1(N) against the direct
 congruence conditions word by word.
 """
 
+import hashlib
 import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, h1, \
     certify_nonextendable
 from modh1.congruence import (
     CosetTable,
     FreeBasis,
+    _nielsen_reduce,
+    _syllable_inv,
+    _syllable_mul,
+    _syllables_to_word,
+    _word_to_syllables,
     bN,
     certify_membership_sample,
     coset_table,
@@ -30,7 +38,7 @@ from modh1.congruence import (
     torsion_criterion,
 )
 from modh1.polyrep import GEN_S, GEN_T, Mat2
-from modh1.presentations import evaluate_word
+from modh1.presentations import Word, evaluate_word
 
 
 def primes(lo, hi):
@@ -212,6 +220,103 @@ class TestTorsionCriterion:
             torsion_criterion(10)
         with pytest.raises(ValueError):
             find_torsion(9)
+
+
+# The free product normal form computed a token at a time, as it was before
+# the reducer learned to scan only the junction of two normal forms.
+T_EXP = {"t": 1, "T": 2}
+TOKEN = {(0, 1): "s", (0, -1): "s", (1, 1): "t", (1, -1): "T"}
+
+
+def reference_normal_form(tokens):
+    out = []
+    for tok in tokens:
+        if out and out[-1] == "s" and tok == "s":
+            out.pop()
+        elif out and out[-1] != "s" and tok != "s":
+            e = (T_EXP[out.pop()] + T_EXP[tok]) % 3
+            if e:
+                out.append("tT"[e - 1])
+        else:
+            out.append(tok)
+    return "".join(out)
+
+
+def reference_inverse(a):
+    return "".join({"s": "s", "t": "T", "T": "t"}[tok] for tok in reversed(a))
+
+
+def reference_nielsen(elems):
+    # the greedy reduction as first written: every candidate built in full
+    def mul(a, b):
+        return reference_normal_form(a + b)
+
+    inv = reference_inverse
+    elems = [e for e in elems if e]
+    changed = True
+    while changed:
+        changed = False
+        canon = {}
+        for e in elems:
+            canon.setdefault(min(e, inv(e)), e)
+        elems = list(canon.values())
+        for i in range(len(elems)):
+            if changed:
+                break
+            a = elems[i]
+            for j in range(len(elems)):
+                if i == j:
+                    continue
+                b = elems[j]
+                candidates = [mul(a, b), mul(a, inv(b)), mul(b, a),
+                              mul(inv(b), a), mul(mul(b, a), inv(b)),
+                              mul(mul(inv(b), a), b)]
+                best = min(candidates, key=len)
+                if len(best) < len(a):
+                    if best:
+                        elems[i] = best
+                    else:
+                        elems.pop(i)
+                    changed = True
+                    break
+    return elems
+
+
+letter_lists = st.lists(st.sampled_from(sorted(TOKEN)), max_size=24)
+
+
+def proj_value(word):
+    return evaluate_word(word, (GEN_S, GEN_T))
+
+
+class TestNormalForm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(u=letter_lists, v=letter_lists)
+    def test_reducer_matches_reference(self, u, v):
+        a, b = _word_to_syllables(Word(u)), _word_to_syllables(Word(v))
+        assert a == reference_normal_form(TOKEN[x] for x in u)
+        ab = _syllable_mul(a, b)
+        assert ab == reference_normal_form(TOKEN[x] for x in u + v)
+        assert all((x == "s") != (y == "s") for x, y in zip(ab, ab[1:]))
+        assert _syllable_inv(a) == _word_to_syllables(Word(u).inverse())
+        assert _syllable_mul(a, _syllable_inv(a)) == ""
+        # the normal form names the same element, up to the sign of -1
+        assert proj_value(_syllables_to_word(ab)).proj_eq(
+            proj_value(Word(u + v)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(letter_lists, min_size=1, max_size=5))
+    def test_nielsen_matches_reference(self, words):
+        elems = [_word_to_syllables(Word(w)) for w in words]
+        assert _nielsen_reduce(list(elems)) == reference_nielsen(elems)
+
+    def test_bases_frozen(self):
+        # sha256 of the basis words for every p = 11 mod 12 up to 400, as
+        # computed by the token-at-a-time reducer
+        data = repr([(p, [w.letters for w in schreier_free_basis(p).words])
+                     for p in primes(11, 400) if p % 12 == 11])
+        assert hashlib.sha256(data.encode()).hexdigest() == (
+            "716daff6dbcae71c715a76f49832ba5f3f55a50841b782043301235cc5d0e53d")
 
 
 class TestFreeBasis:

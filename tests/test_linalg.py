@@ -10,6 +10,8 @@ from modh1.linalg import (
     AbelianInvariants,
     IntMatrix,
     SmithLattice,
+    _smith,
+    cokernel_torsion,
     hstack,
     invert_unimodular,
     kernel_basis,
@@ -417,3 +419,63 @@ class TestNormalFormProperties:
         assert all(lattice.order(v) is None for v in free)
         stacked = hstack([a, IntMatrix.from_columns(free, rows=a.rows)])
         assert rank(stacked) == a.rows
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Low rank products X*Y, with zero rows and columns spliced in."""
+    rows, inner, cols = (draw(st.integers(0, 6)), draw(st.integers(0, 2)),
+                         draw(st.integers(0, 6)))
+    entry = st.integers(-draw(st.sampled_from((1, 9))), 9)
+    x = IntMatrix(draw(st.lists(st.lists(entry, min_size=inner,
+                                         max_size=inner),
+                                min_size=rows, max_size=rows)), cols=inner)
+    y = IntMatrix(draw(st.lists(st.lists(entry, min_size=cols,
+                                         max_size=cols),
+                                min_size=inner, max_size=inner)), cols=cols)
+    data = (x * y).data
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(data)))
+        data.insert(i, [0] * cols)
+    j = draw(st.integers(0, cols))
+    if draw(st.booleans()):
+        data = [row[:j] + [0] + row[j:] for row in data]
+        cols += 1
+    return IntMatrix(data, cols=cols)
+
+
+class TestSmithWithoutU:
+    """kernel_basis and cokernel_torsion reduce A's bare rows; the full
+    Smith form reduces [A | I].  Both must give the same diagonal and V."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=st.one_of(int_matrices(), deficient_matrices()))
+    def test_same_diagonal_and_v(self, a):
+        bare, full = _smith(a, False), smith_normal_form(a)
+        assert bare.U is None
+        assert bare.diagonal() == full.diagonal()
+        assert bare.V == full.V
+        assert bare.S == full.S
+        assert cokernel_torsion(a) == (full.rank(), full.torsion_generators())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=st.one_of(int_matrices(), deficient_matrices()))
+    def test_kernel_basis_unchanged(self, a):
+        # as before: the columns of the full form's V past the rank, each
+        # with its first nonzero entry made positive
+        full = smith_normal_form(a)
+        expected = []
+        for j in range(full.rank(), a.cols):
+            col = full.V.column(j)
+            lead = next(x for x in col if x)
+            expected.append([-x for x in col] if lead < 0 else col)
+        k = kernel_basis(a)
+        assert k == IntMatrix.from_columns(expected, rows=a.cols)
+        assert (a * k).is_zero()
+
+    def test_empty_shapes(self):
+        for rows, cols in ((0, 0), (0, 3), (3, 0)):
+            a = IntMatrix.zeros(rows, cols)
+            assert smith_normal_form(a).U == IntMatrix.identity(rows)
+            assert kernel_basis(a) == IntMatrix.identity(cols)
+            assert cokernel_torsion(a) == (0, [])
