@@ -38,8 +38,8 @@ from .presentations import (
     Word,
     builtin,
     evaluate_word,
-    fox_jacobian,
     relator_condition_matrix,
+    transport_blocks,
 )
 
 
@@ -157,10 +157,19 @@ def _coboundary_coordinates(presentation, rep):
     return K, lattice, lattice.coordinate_lattice(coboundary_matrix(rep))
 
 
-def _is_cocycle(presentation, rep, cocycle):
-    # Whether the cocycle's values satisfy every relator condition.
-    R = relator_condition_matrix(presentation, rep)
-    return not any(R.mulvec(cocycle.stacked()))
+def _is_cocycle(presentation, assignment, rep, cocycle):
+    # Whether the cocycle vanishes on every relator.  rep is the assignment's
+    # rho_n, a homomorphism, so rho_n(rel) is rho_n of rel's 2x2 value.
+    n = rep[0].rows - 1
+    eye = IntMatrix.identity(n + 1)
+    for rel in presentation.relators:
+        value = evaluate_word(rel, assignment.matrices)
+        if not value.is_identity() and rho_matrix(value, n) != eye:
+            raise ValueError("representation does not satisfy relator %s"
+                             % rel.format(presentation.generators))
+    b = IntMatrix.from_columns([cocycle.stacked()])
+    return all(X.is_zero()
+               for X in transport_blocks(presentation.relators, rep, b))
 
 
 def class_order(presentation, rep, cocycle):
@@ -181,43 +190,36 @@ def class_order(presentation, rep, cocycle):
     return m
 
 
-def _restricted(jacobian, Z, d):
-    # Restrictions of the ambient cocycles in the columns of Z, stacked by
-    # subgroup generator: row block i is the sum over g of J_g(w_i) times
-    # row block g of Z.
-    rows = []
-    for blocks, _ in jacobian:
-        part = IntMatrix.zeros(d, Z.cols)
-        for g, J in blocks.items():
-            part = part + J * IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
-        rows.extend(part.data)
-    return IntMatrix(rows, cols=Z.cols)
-
-
 def restrict(cocycle, embedding, sub_presentation, ambient_rep):
     """Pull a cocycle back along a subgroup embedding.
 
     The restricted cocycle's value on a subgroup generator is the transported
-    value of the ambient cocycle on the corresponding word.  The result is
-    checked against the subgroup's relator conditions.
+    value of the ambient cocycle on the corresponding word.  Each subgroup
+    relator, spelled in the ambient generators, must then act trivially
+    (carry each coboundary to zero) and carry the cocycle to zero.
     """
-    d = ambient_rep[0].rows
-    jacobian = fox_jacobian(embedding.words, ambient_rep)
-    Z = IntMatrix.from_columns([cocycle.stacked()])
-    out = Cocycle.from_stacked(sub_presentation,
-                               _restricted(jacobian, Z, d).column(0), d)
-    if sub_presentation.relators:
-        sub_rep = [value for _, value in jacobian]
-        if not _is_cocycle(sub_presentation, sub_rep, out):
-            raise RuntimeError("restriction produced a non-cocycle")
+    b = IntMatrix.from_columns([cocycle.stacked()])
+    rels, words = sub_presentation.relators, embedding.words
+    out = Cocycle(sub_presentation, [
+        X.column(0) for X in transport_blocks(words, ambient_rep, b)])
+    spelled = [Word(x for g, s in rel.letters for x in (
+        words[g] if s == 1 else words[g].inverse()).letters) for rel in rels]
+    values = transport_blocks(spelled, ambient_rep,
+                              hstack([b, coboundary_matrix(ambient_rep)]))
+    for rel, X in zip(rels, values):
+        if any(any(row[1:]) for row in X.data):
+            raise ValueError("representation does not satisfy relator %s"
+                             % rel.format(sub_presentation.generators))
+    if any(row[0] for X in values for row in X.data):
+        raise RuntimeError("restriction produced a non-cocycle")
     return out
 
 
 def restriction_image_matrix(ambient_presentation, ambient_rep, embedding):
     """Columns: restrictions of a Z^1 basis of the ambient group."""
-    return _restricted(fox_jacobian(embedding.words, ambient_rep),
-                       cocycle_basis(ambient_presentation, ambient_rep),
-                       ambient_rep[0].rows)
+    return vstack(transport_blocks(
+        embedding.words, ambient_rep,
+        cocycle_basis(ambient_presentation, ambient_rep)))
 
 
 def restriction_cokernel(ambient_presentation, ambient_rep,
@@ -249,20 +251,20 @@ def _refutation(M, target):
     ref = SmithLattice(M).refute(target)
     if ref is None:
         return None
-    ok, pairing = _refutes(ref[0], ref[1], M, target)
+    ok, pairing = _refutes(ref[0], ref[1], target, [M])
     if not ok:
         raise RuntimeError("Smith functional does not refute membership")
     return {"functional": ref[0], "modulus": ref[1], "pairing": pairing}
 
 
-def _refutes(u, m, M, target):
-    # (whether u, m refute membership of target in the lattice of M, u.target)
-    um = [sum(u[i] * M.data[i][j] for i in range(M.rows))
-          for j in range(M.cols)]
+def _refutes(u, m, target, blocks):
+    # (whether u, m refute membership of target in the span of the blocks'
+    # columns, u.target); u.target goes first, then the blocks in turn
     ub = sum(x * y for x, y in zip(u, target))
-    if m == 0:
-        return all(x == 0 for x in um) and ub != 0, ub
-    return all(x % m == 0 for x in um) and ub % m != 0, ub
+    ok = (ub % m if m else ub) != 0 and all(
+        (x % m if m else x) == 0
+        for M in blocks for x in M.transpose().mulvec(u))
+    return ok, ub
 
 
 def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
@@ -275,13 +277,10 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     raised; otherwise a Smith-form functional refuting membership is stored.
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
-    check_cost(check_degree(n),
-               certificate_letters(sub_presentation, overgroups))
-    sub_rep = sub_assignment.rep(n)
-    if not _is_cocycle(sub_presentation, sub_rep, cocycle):
-        raise ValueError("not a cocycle")
+    sub_rep, payload = _claim("nonextendable", sub_presentation,
+                              sub_assignment, n, cocycle, overgroups)
     B_sub = coboundary_matrix(sub_rep)
-    entries = []
+    payload["overgroups"] = entries = []
     for og in overgroups:
         amb_rep = og.assignment.rep(n)
         RZ = restriction_image_matrix(og.presentation, amb_rep, og.embedding)
@@ -293,35 +292,29 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
                      embedding=[w.format(og.presentation.generators)
                                 for w in og.embedding.words])
         entries.append(entry)
-    payload = {
-        "format": CERTIFICATE_FORMAT,
-        "kind": "nonextendable",
-        "degree": n,
-        "subgroup": _presentation_payload(sub_presentation, sub_assignment),
-        "cocycle": {"values": [list(v) for v in cocycle.values]},
-        "overgroups": entries,
-    }
     return Certificate(payload)
 
 
 def certify_noncoboundary(presentation, assignment, n, cocycle):
     """A certificate that the cocycle is not a coboundary."""
-    check_cost(check_degree(n), certificate_letters(presentation))
-    rep = assignment.rep(n)
-    if not _is_cocycle(presentation, rep, cocycle):
-        raise ValueError("not a cocycle")
-    refutation = _refutation(coboundary_matrix(rep), cocycle.stacked())
-    if refutation is None:
+    rep, payload = _claim("noncoboundary", presentation, assignment, n,
+                          cocycle)
+    payload["refutation"] = _refutation(coboundary_matrix(rep),
+                                        cocycle.stacked())
+    if payload["refutation"] is None:
         raise ValueError("the cocycle is a coboundary")
-    payload = {
-        "format": CERTIFICATE_FORMAT,
-        "kind": "noncoboundary",
-        "degree": n,
-        "subgroup": _presentation_payload(presentation, assignment),
-        "cocycle": {"values": [list(v) for v in cocycle.values]},
-        "refutation": refutation,
-    }
     return Certificate(payload)
+
+
+def _claim(kind, presentation, assignment, n, cocycle, overgroups=()):
+    # rho_n and the shared payload fields, once budget and cocycle check out
+    check_cost(check_degree(n), certificate_letters(presentation, overgroups))
+    rep = assignment.rep(n)
+    if not _is_cocycle(presentation, assignment, rep, cocycle):
+        raise ValueError("not a cocycle")
+    return rep, {"format": CERTIFICATE_FORMAT, "kind": kind, "degree": n,
+                 "subgroup": _presentation_payload(presentation, assignment),
+                 "cocycle": {"values": [list(v) for v in cocycle.values]}}
 
 
 CERTIFICATE_FORMAT = "modh1-certificate-1"
@@ -332,10 +325,11 @@ CERTIFICATE_FORMAT = "modh1-certificate-1"
 # 2-vCPU Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
 
-# Each letter of a relator or embedding word costs one product of
-# (n + 1)-square matrices in its Fox Jacobian.  The budget on letters times
-# (n + 1)^3 is that of `witness --kind ba:120,1`, the costliest certificate
-# the CLI writes: 30 letters (sl2 and gl2 relators, embedding words s, t).
+# Each letter of a relator or embedding word costs one product of an
+# (n + 1)-square matrix with a block of n + 1 rows: a Fox Jacobian prefix,
+# or the restricted Z^1 basis.  The budget on letters times (n + 1)^3 is
+# that of `witness --kind ba:120,1`, the costliest certificate the CLI
+# writes: 30 letters (sl2 and gl2 relators, embedding words s, t).
 CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
 
@@ -445,11 +439,12 @@ class Certificate:
             return checks
         sub_rep = sub_assign.rep(n)
         b = Cocycle(sub_pres, p["cocycle"]["values"])
-        check("cocycle condition", _is_cocycle(sub_pres, sub_rep, b))
+        check("cocycle condition",
+              _is_cocycle(sub_pres, sub_assign, sub_rep, b))
         B_sub = coboundary_matrix(sub_rep)
         if kind == "noncoboundary":
             self._verify_refutation(check, "coboundary refutation",
-                                    p["refutation"], B_sub, b.stacked())
+                                    p["refutation"], b.stacked(), [B_sub])
             return checks
         if kind != "nonextendable":
             check("kind", False, "nonextendable", kind)
@@ -472,23 +467,24 @@ class Certificate:
             check("%s embedding" % label, ok)
             if not ok:
                 continue
-            RZ = restriction_image_matrix(pres, assign.rep(n),
-                                          Embedding(pres, words))
+
+            def blocks():  # Z^1 of the overgroup only if u.b and u.B_sub pass
+                yield B_sub
+                yield restriction_image_matrix(pres, assign.rep(n),
+                                               Embedding(pres, words))
             self._verify_refutation(check, "%s refutation" % label,
-                                    og["refutation"], hstack([RZ, B_sub]),
-                                    b.stacked())
+                                    og["refutation"], b.stacked(), blocks())
         return checks
 
     @staticmethod
-    def _verify_refutation(check, label, ref, M, target):
+    def _verify_refutation(check, label, ref, target, blocks):
         u = [int(x) for x in ref["functional"]]
         m = int(ref["modulus"])
-        if len(u) != M.rows:
-            check(label, False, "functional length %d" % M.rows, len(u))
+        if len(u) != len(target):
+            check(label, False, "functional length %d" % len(target), len(u))
             return
-        ok, ub = _refutes(u, m, M, target)
-        check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m,
-              "u.b = %d" % ub)
+        ok, ub = _refutes(u, m, target, blocks)
+        check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m, "u.b = %d" % ub)
 
 
 def make_ba(n, a, group="sl2"):
@@ -506,8 +502,7 @@ def make_ba(n, a, group="sl2"):
     v[0] = a
     v[n] = -a
     b = Cocycle(pres, [v, [0] * (n + 1)])
-    rep = assignment.rep(n)
-    if not _is_cocycle(pres, rep, b):
+    if not _is_cocycle(pres, assignment, assignment.rep(n), b):
         raise RuntimeError("constructed values violate the cocycle condition")
     return b
 
@@ -541,8 +536,7 @@ def make_beps(n, eps, group="gl2"):
     pres, assignment = builtin(group)
     zero = [0] * (n + 1)
     b = Cocycle(pres, [v, zero, zero])
-    rep = assignment.rep(n)
-    if not _is_cocycle(pres, rep, b):
+    if not _is_cocycle(pres, assignment, assignment.rep(n), b):
         raise RuntimeError("constructed values violate the cocycle condition")
     return b
 

@@ -13,8 +13,9 @@ Smith, rank and invert_unimodular rest on one in-place row echelon routine.
 Transforms ride along as appended columns: reducing the rows of [A | I]
 leaves U in the right-hand block, and the Smith form alternates passes on
 [S | U] and [S^T | V^T].  rank reduces the bare rows and carries no
-transform.  The Smith forms behind kernel_basis and cokernel_torsion, which
-read only V and the diagonal, start from A's bare rows and carry no U.
+transform.  The Smith form behind cokernel_torsion, which reads only V and
+the diagonal, starts from A's bare rows and carries no U, and kernel_basis
+stops after its first two passes.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -25,7 +26,8 @@ k (Gustavson, ACM TOMS 4, 1978).  The matrices the package multiplies
 are mostly zeros: rho_n(S) and rho_n(W) are signed permutation matrices,
 rho_n(T) is about half zeros, and the relator condition matrix has whole
 zero blocks.  A product with a signed permutation matrix then costs
-O(d^2), not d^3.
+O(d^2), not d^3.  An AffineMap X -> M*X + C lists M's nonzero entries
+once, for maps applied many times, as along the letters of a word.
 
 The public constructor copies its rows and checks every entry.  Matrices
 whose rows linalg has just built itself go through IntMatrix._of, which
@@ -179,6 +181,40 @@ class IntMatrix:
         return all(x == 0 for row in self.data for x in row)
 
 
+class AffineMap:
+    """The map X -> M*X + C on integer matrices, prepared for reuse.
+
+    The nonzero entries of each row of M are listed once, so each
+    application costs one multiply-add per nonzero m_ik and column of X:
+    row i of the result is row i of C plus m_ik * (row k of X).
+    """
+
+    __slots__ = ("cols", "nonzero", "offset")
+
+    def __init__(self, M, C):
+        if M.rows != C.rows:
+            raise ValueError("shape mismatch: %d rows and %d rows"
+                             % (M.rows, C.rows))
+        self.cols = M.cols
+        self.nonzero = [[(k, x) for k, x in enumerate(row) if x]
+                        for row in M.data]
+        self.offset = C
+
+    def __call__(self, X):
+        if X.rows != self.cols or X.cols != self.offset.cols:
+            raise ValueError("shape mismatch: %dx%d block for an affine map "
+                             "on %dx%d" % (X.rows, X.cols, self.cols,
+                                           self.offset.cols))
+        out = []
+        for row, acc in zip(self.nonzero, self.offset.data):
+            acc = list(acc)
+            for k, x in row:
+                for j, y in enumerate(X.data[k]):
+                    acc[j] += x * y
+            out.append(acc)
+        return IntMatrix._of(out, self.offset.cols)
+
+
 def vstack(mats):
     mats = list(mats)
     cols = mats[0].cols
@@ -209,8 +245,8 @@ class SmithLattice:
     lattice exactly when each entry of U*v is divisible by the matching
     diagonal entry of S (entries past the rank must vanish).  That one test
     gives coordinates, a refuting functional, and the order of v modulo the
-    lattice.  Forms that kernel_basis and cokernel_torsion reduce inside
-    this module carry no U (it is None) and are never handed out.
+    lattice.  The forms that cokernel_torsion reduces inside this module
+    carry no U (it is None) and are never handed out.
     """
 
     __slots__ = ("A", "U", "S", "V", "_diag")
@@ -463,22 +499,34 @@ def kernel_basis(A):
     """A basis of the integer kernel of A, as the columns of the result.
 
     The basis spans the full lattice ker(A) in Z^cols, not a finite-index
-    sublattice, because it comes from the unimodular column transform of the
-    Smith form.  Columns are sign-normalized (first nonzero entry positive).
-    Only V is read, so the reduction carries no U.
+    sublattice, because it comes from a unimodular column transform.
+    Columns are sign-normalized (first nonzero entry positive).
+
+    Two passes of the Smith reduction suffice, and give exactly the columns
+    of its V past the rank r: a row pass brings A's bare rows to Hermite
+    form H, and a column pass on the rows of [H^T | I] leaves the kernel in
+    the transform rows past r.  Later passes never change or move those
+    rows: their S block is zero, so they are never a pivot and never
+    reduced; pivot swaps stay below the rank; and the packing step and the
+    divisibility repair touch only indices below the rank.  H's zero rows
+    past r are left out of H^T, as zero columns are never a pivot.
     """
-    snf = _smith(A, False)
-    r = snf.rank()
+    n = A.cols
+    rows = [list(row) for row in A.data]
+    r = _echelon(rows, n)
+    st = [[row[j] for row in rows[:r]] + [int(i == j) for i in range(n)]
+          for j in range(n)]
+    _echelon(st, r)
     cols = []
-    for j in range(r, A.cols):
-        c = snf.V.column(j)
+    for row in st[r:]:
+        c = row[r:]
         for x in c:
             if x:
                 if x < 0:
                     c = [-y for y in c]
                 break
         cols.append(c)
-    return IntMatrix.from_columns(cols, rows=A.cols)
+    return IntMatrix.from_columns(cols, rows=n)
 
 
 def cokernel_torsion(A):

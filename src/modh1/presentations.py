@@ -3,21 +3,19 @@
 Words are stored fully expanded as tuples of (generator index, sign) letters;
 parsing accepts exponent shorthand like "s^-2" but expands it immediately.
 A 1-cocycle for a representation rho is determined by its values on the
-generators, and extends to arbitrary words by the transport rule
+generators, and extends to arbitrary words by Fox's transport rule
 
-    b(x_1 ... x_m) = sum_j rho(x_1 ... x_{j-1}) b(x_j),
-    b(g^-1) = -rho(g)^-1 b(g).
+    b(x w') = b(x) + rho(x) b(w'),    b(x^-1 w') = rho(x)^-1 (b(w') - b(x)),
 
-Collected by generator, the terms give the word's Fox Jacobian: blocks J_g,
-the Fox derivatives dw/dg evaluated in rho, with b(w) = sum_g J_g b(g) for
-every cocycle b, so one walk along the word serves every cocycle.  The
-relators' Jacobians, stacked, form the relator condition matrix, whose
-integer kernel is exactly the cocycle lattice Z^1.
+which transport_blocks walks right to left for a block of cocycles at
+once.  Collected by generator, the terms of b(w) give the Fox Jacobian,
+blocks J_g with b(w) = sum_g J_g b(g); stacked over the relators, they form
+the relator condition matrix, whose integer kernel is the cocycle lattice.
 """
 
 from __future__ import annotations
 
-from .linalg import IntMatrix, hstack, invert_unimodular, vstack
+from .linalg import AffineMap, IntMatrix, hstack, invert_unimodular, vstack
 from .polyrep import GEN_S, GEN_T, GEN_W, Mat2, rho_matrix
 
 
@@ -32,14 +30,6 @@ class Word:
             if s not in (1, -1):
                 raise ValueError("letter signs must be +-1")
         self.letters = letters
-
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
-    def single(cls, gen, sign=1):
-        return cls(((gen, sign),))
 
     @classmethod
     def parse(cls, text, generators):
@@ -161,6 +151,16 @@ def _sanov_generators(k):
     return out
 
 
+_BUILTIN = {
+    "psl2": ("S T", ("S S", "T T T"), (GEN_S, GEN_T), True),
+    "sl2": ("s t", ("s s s s", "s s t^-3"), (GEN_S, GEN_T), False),
+    "pgl2": ("S T W", ("S S", "T T T", "W W", "S W S W", "T W T W"),
+             (GEN_S, GEN_T, GEN_W), True),
+    "gl2": ("s t w", ("s s s s", "s s t^-3", "w w", "w s w s", "w t w t"),
+            (GEN_S, GEN_T, GEN_W), False),
+}
+
+
 def builtin(name):
     """A named presentation with its standard matrix assignment.
 
@@ -170,29 +170,11 @@ def builtin(name):
     generators.
     """
     key = name.strip().lower()
-    if key == "psl2":
-        p = Presentation("psl2", ("S", "T"), ())
-        rel = (p.parse_word("S S"), p.parse_word("T T T"))
-        p = Presentation("psl2", ("S", "T"), rel)
-        return p, MatrixAssignment((GEN_S, GEN_T), projective=True)
-    if key == "sl2":
-        p = Presentation("sl2", ("s", "t"), ())
-        rel = (p.parse_word("s s s s"), p.parse_word("s s t^-3"))
-        p = Presentation("sl2", ("s", "t"), rel)
-        return p, MatrixAssignment((GEN_S, GEN_T))
-    if key == "pgl2":
-        p = Presentation("pgl2", ("S", "T", "W"), ())
-        rel = (p.parse_word("S S"), p.parse_word("T T T"), p.parse_word("W W"),
-               p.parse_word("S W S W"), p.parse_word("T W T W"))
-        p = Presentation("pgl2", ("S", "T", "W"), rel)
-        return p, MatrixAssignment((GEN_S, GEN_T, GEN_W), projective=True)
-    if key == "gl2":
-        p = Presentation("gl2", ("s", "t", "w"), ())
-        rel = (p.parse_word("s s s s"), p.parse_word("s s t^-3"),
-               p.parse_word("w w"), p.parse_word("w s w s"),
-               p.parse_word("w t w t"))
-        p = Presentation("gl2", ("s", "t", "w"), rel)
-        return p, MatrixAssignment((GEN_S, GEN_T, GEN_W))
+    if key in _BUILTIN:
+        gens, rels, matrices, projective = _BUILTIN[key]
+        gens = tuple(gens.split())
+        return (Presentation(key, gens, [Word.parse(r, gens) for r in rels]),
+                MatrixAssignment(matrices, projective=projective))
     if key.startswith("free:"):
         k = int(key.split(":", 1)[1])
         if k < 1:
@@ -230,11 +212,37 @@ def fox_jacobian(words, rep):
     return out
 
 
+def transport_blocks(words, rep, Z):
+    """Values on each word of the cocycles in the columns of Z.
+
+    Z stacks d = rep[0].rows rows of values per generator; the result has
+    one d-row block X(w) per word.  Walking right to left, a letter acts by
+    X -> M X + C: M, C = rho(x), Z_x for x and rho(x)^-1, -rho(x)^-1 Z_x
+    for x^-1, one sparse product.  Each inverse is taken once.
+    """
+    d = rep[0].rows
+    if Z.rows != len(rep) * d:
+        raise ValueError("generator values need %d rows" % (len(rep) * d))
+    steps = {}
+    for g, s in {letter for w in words for letter in w.letters}:
+        M, C = rep[g], IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
+        if s == -1:
+            M = invert_unimodular(M)
+            C = -(M * C)
+        steps[g, s] = AffineMap(M, C)
+    out = []
+    for word in words:
+        X = IntMatrix.zeros(d, Z.cols)
+        for letter in reversed(word.letters):
+            X = steps[letter](X)
+        out.append(X)
+    return out
+
+
 def cocycle_transport(word, rep, values):
     """Value of the cocycle with the given generator values on a word."""
-    [(blocks, _)] = fox_jacobian([word], rep)
-    parts = [J.mulvec(values[g]) for g, J in blocks.items()]
-    return [sum(x) for x in zip([0] * rep[0].rows, *parts)]
+    Z = IntMatrix.from_columns([[x for v in values for x in v]])
+    return transport_blocks([word], rep, Z)[0].column(0)
 
 
 def relator_condition_matrix(presentation, rep):
@@ -250,7 +258,7 @@ def relator_condition_matrix(presentation, rep):
     k = len(presentation.generators)
     d = rep[0].rows
     zero = IntMatrix.zeros(d, d)
-    rows = []
+    rows = [IntMatrix([], cols=k * d)]
     jacobians = fox_jacobian(presentation.relators, rep)
     for rel, (blocks, value) in zip(presentation.relators, jacobians):
         if value != IntMatrix.identity(d):
@@ -258,6 +266,4 @@ def relator_condition_matrix(presentation, rep):
                 "representation does not satisfy relator %s"
                 % rel.format(presentation.generators))
         rows.append(hstack([blocks.get(g, zero) for g in range(k)]))
-    if not rows:
-        return IntMatrix([], cols=k * d)
     return vstack(rows)

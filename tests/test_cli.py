@@ -10,6 +10,7 @@ import pytest
 
 import modh1.cli
 from modh1.cli import _job_count, main
+from modh1.cohomology import certify_noncoboundary, make_ba
 from modh1.presentations import Word, builtin, evaluate_word
 
 
@@ -508,6 +509,20 @@ class TestTamperRejection:
         path = tmp_path / "short.json"
         path.write_text(json.dumps(payload))
         assert main(["verify-certificate", str(path)]) == 2
+
+    def test_projective_subgroup_at_odd_degree_is_malformed(self, capsys,
+                                                           tmp_path):
+        # rho_3 sends the psl2 relators to -1, so there is no cocycle
+        # condition to check: a usage error, not a failed check
+        pres, assign = builtin("psl2")
+        cert = certify_noncoboundary(pres, assign, 4, make_ba(4, 1, "psl2"))
+        payload = json.loads(cert.to_json())
+        payload["degree"] = 3
+        payload["cocycle"]["values"] = [[1, 0, 0, -1], [0, 0, 0, 0]]
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify-certificate", str(path)]) == 2
+        assert "does not satisfy relator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["ba", "beps"])
     @pytest.mark.parametrize("degree", [10 ** 9, -1, True, 4.0, "4", None])

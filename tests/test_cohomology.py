@@ -11,13 +11,17 @@ finite.  That route never touches the presentation machinery.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
+import modh1.cohomology as cohomology
 from modh1.cohomology import (
     _coboundary_coordinates,
+    _is_cocycle,
     CERT_MAX_COST,
     CERT_MAX_DEGREE,
     Certificate,
@@ -42,6 +46,7 @@ from modh1.cohomology import (
     cokernel_rank,
     restrict,
     restriction_cokernel,
+    restriction_image_matrix,
     t_fixed_dim,
     t_fixed_sym_dim,
     beps_count,
@@ -51,6 +56,7 @@ from modh1.congruence import lift_to_sl2, schreier_free_basis
 from modh1.linalg import (
     AbelianInvariants,
     IntMatrix,
+    SmithLattice,
     hstack,
     kernel_basis,
     quotient_invariants,
@@ -62,7 +68,10 @@ from modh1.polyrep import GEN_S, GEN_T, GEN_W, common_fixed_dim, rho_matrix
 from modh1.presentations import (
     Embedding,
     Presentation,
+    Word,
     builtin,
+    cocycle_transport,
+    fox_jacobian,
     relator_condition_matrix,
 )
 
@@ -407,6 +416,261 @@ class TestRestriction:
         r = restrict(b, emb, sp, ga.rep(4))
         assert class_order(gp, ga.rep(4), b) == 4
         assert class_order(sp, sa.rep(4), r) == 4
+
+
+def _restricted(jacobian, Z, d):
+    # The Fox-Jacobian route the block walk replaced: row block i is the
+    # sum over g of J_g(w_i) times row block g of Z.
+    rows = []
+    for blocks, _ in jacobian:
+        part = IntMatrix.zeros(d, Z.cols)
+        for g, J in blocks.items():
+            part = part + J * IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
+        rows.extend(part.data)
+    return IntMatrix(rows, cols=Z.cols)
+
+
+def reference_restrict(cocycle, embedding, sub_presentation, ambient_rep):
+    # restrict through the Fox Jacobians, checked with the subgroup's
+    # relator condition matrix on rho of the embedding words
+    d = ambient_rep[0].rows
+    jacobian = fox_jacobian(embedding.words, ambient_rep)
+    Z = IntMatrix.from_columns([cocycle.stacked()])
+    out = Cocycle.from_stacked(sub_presentation,
+                               _restricted(jacobian, Z, d).column(0), d)
+    if sub_presentation.relators:
+        R = relator_condition_matrix(sub_presentation,
+                                     [value for _, value in jacobian])
+        if any(R.mulvec(out.stacked())):
+            raise RuntimeError("restriction produced a non-cocycle")
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+
+
+@st.composite
+def unimodular(draw, d):
+    # a product of up to five elementary, sign and swap matrices
+    m = IntMatrix.identity(d)
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        e = IntMatrix.identity(d).data
+        if i == j:
+            e[i][i] = -1
+        elif draw(st.booleans()):
+            e[i][j] = draw(st.integers(-3, 3))
+        else:
+            e[i][i] = e[j][j] = 0
+            e[i][j] = e[j][i] = 1
+        m = m * IntMatrix(e)
+    return m
+
+
+def words_over(k, max_words=3):
+    letter = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
+    return st.lists(st.lists(letter, max_size=10).map(Word), min_size=1,
+                    max_size=max_words)
+
+
+def vectors(d, count):
+    return st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+                    min_size=count, max_size=count)
+
+
+class TestTransportWalk:
+    """The block walk against the Fox-Jacobian route it replaced."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_fox_route_on_random_reps(self, data):
+        k, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        rep = [data.draw(unimodular(d)) for _ in range(k)]
+        pres = Presentation("free", ["g%d" % i for i in range(k)], ())
+        words = data.draw(words_over(k))
+        emb = Embedding(pres, words)
+        assert restriction_image_matrix(pres, rep, emb) == _restricted(
+            fox_jacobian(words, rep), cocycle_basis(pres, rep), d)
+        b = Cocycle(pres, data.draw(vectors(d, k)))
+        Z = IntMatrix.from_columns([b.stacked()])
+        for w in words:
+            assert cocycle_transport(w, rep, b.values) == _restricted(
+                fox_jacobian([w], rep), Z, d).column(0)
+        sub = Presentation("sub", ["x%d" % i for i in range(len(words))], ())
+        assert restrict(b, emb, sub, rep) == reference_restrict(b, emb, sub,
+                                                                rep)
+
+    @pytest.mark.parametrize("group", ["psl2", "sl2", "pgl2", "gl2"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_fox_route_on_builtin_groups(self, group, data):
+        pres, assign = builtin(group)
+        k = len(pres.generators)
+        n = data.draw(st.integers(0, 4))
+        rep = assign.rep(n)
+        values = data.draw(vectors(n + 1, k))
+        try:
+            R = relator_condition_matrix(pres, rep)
+        except ValueError:
+            # projective groups at odd degree
+            with pytest.raises(ValueError):
+                _is_cocycle(pres, assign, rep, Cocycle(pres, values))
+            return
+        K = cocycle_basis(pres, rep)
+        if data.draw(st.booleans()) and K.cols:
+            # a cocycle: an integer combination of the Z^1 basis
+            c = data.draw(vectors(K.cols, 1))[0]
+            b = Cocycle.from_stacked(pres, K.mulvec(c), n + 1)
+        else:
+            b = Cocycle(pres, values)
+        assert _is_cocycle(pres, assign, rep, b) == (
+            not any(R.mulvec(b.stacked())))
+        # restrict to the group itself along conjugated generators, where
+        # the relators hold, or along random words, where they need not
+        u = data.draw(words_over(k, 1))[0]
+        if data.draw(st.booleans()):
+            words = [u * Word([(g, 1)]) * u.inverse() for g in range(k)]
+        else:
+            words = [data.draw(words_over(k, 1))[0] for _ in range(k)]
+        emb = Embedding(pres, words)
+        assert restriction_image_matrix(pres, rep, emb) == _restricted(
+            fox_jacobian(words, rep), K, n + 1)
+        assert outcome(restrict, b, emb, pres, rep) == outcome(
+            reference_restrict, b, emb, pres, rep)
+
+    @pytest.mark.parametrize("group", ["psl2", "pgl2"])
+    def test_projective_odd_degree_raises(self, group):
+        pres, assign = builtin(group)
+        for n in (1, 3, 5):
+            rep = assign.rep(n)
+            b = Cocycle(pres, [[0] * (n + 1)] * len(pres.generators))
+            with pytest.raises(ValueError, match="does not satisfy relator"):
+                _is_cocycle(pres, assign, rep, b)
+
+    def test_value_length_checked(self):
+        # as the relator matrix's mulvec did, also with no relators
+        for name in ("sl2", "free:2"):
+            pres, assign = builtin(name)
+            b = Cocycle(pres, [[1, 2, 3, 4]] * len(pres.generators))
+            with pytest.raises(ValueError):
+                _is_cocycle(pres, assign, assign.rep(2), b)
+
+
+# The report written, before the refutation checks were ordered cheapest
+# first, for a free-lift:11 certificate at degree 1 with one overgroup's
+# functional zeroed or cut short; each overgroup's checks are relators,
+# embedding, refutation.
+PASSED = "u.M = 0, u.b != 0 (mod 0)", "u.b = 1"
+SEED_REPORTS = {
+    "zeroed": (False, "u.M = 0, u.b != 0 (mod 0)", "u.b = 0"),
+    "short": (False, "functional length 6", 5),
+}
+
+
+def seed_report(tampered, failure):
+    checks = [("subgroup relators", True, "ok", "ok"),
+              ("cocycle condition", True, "ok", "ok")]
+    for i, label in enumerate(("K x <eps>", "sl2")):
+        checks += [("%s relators" % label, True, "ok", "ok"),
+                   ("%s embedding" % label, True, "ok", "ok"),
+                   ("%s refutation" % label,)
+                   + (SEED_REPORTS[failure] if i == tampered
+                      else (True,) + PASSED)]
+    return [dict(zip(("name", "pass", "expected", "actual"), c))
+            for c in checks]
+
+
+class TestCheapestFirst:
+    """Certificate.verify tests u.b and u.B_sub before building Z^1."""
+
+    @pytest.fixture(scope="class")
+    def lift_payload(self):
+        lift = lift_to_sl2(schreier_free_basis(11))
+        res = h1(lift.presentation, lift.assignment.rep(1))
+        b = res.free_basis[0]
+        cert = certify_nonextendable(lift.presentation, lift.assignment, 1, b,
+                                     lift.overgroups)
+        assert all(c["pass"] for c in cert.verify())
+        return cert.payload
+
+    @pytest.fixture
+    def basis_calls(self, monkeypatch):
+        calls = []
+        real = cohomology.cocycle_basis
+
+        def spy(presentation, rep):
+            calls.append(presentation.name)
+            return real(presentation, rep)
+
+        monkeypatch.setattr(cohomology, "cocycle_basis", spy)
+        return calls
+
+    @pytest.mark.parametrize("tampered", [0, 1])
+    @pytest.mark.parametrize("failure", sorted(SEED_REPORTS))
+    def test_tampered_report_unchanged(self, lift_payload, basis_calls,
+                                       tampered, failure):
+        payload = json.loads(json.dumps(lift_payload))
+        og = payload["overgroups"][tampered]
+        u = og["refutation"]["functional"]
+        if failure == "zeroed":
+            og["refutation"]["functional"] = [0] * len(u)
+        else:
+            u.pop()
+        assert Certificate(payload).verify() == seed_report(tampered,
+                                                            failure)
+        other = payload["overgroups"][1 - tampered]["name"]
+        assert basis_calls == [other]
+
+    @pytest.mark.parametrize("tampered", [0, 1])
+    def test_functional_failing_on_the_coboundaries(self, lift_payload,
+                                                    basis_calls, tampered):
+        # u.b != 0 still, but u.B_sub != 0: refuted before Z^1 is built
+        payload = json.loads(json.dumps(lift_payload))
+        lift = lift_to_sl2(schreier_free_basis(11))
+        B_sub = coboundary_matrix(lift.assignment.rep(1))
+        target = [x for v in payload["cocycle"]["values"] for x in v]
+        j = next(j for j, row in enumerate(B_sub.data)
+                 if any(row) and not target[j])
+        ref = payload["overgroups"][tampered]["refutation"]
+        ref["functional"][j] += 1
+        checks = Certificate(payload).verify()
+        failed = [c for c in checks if not c["pass"]]
+        label = payload["overgroups"][tampered]["name"]
+        assert [c["name"] for c in failed] == ["%s refutation" % label]
+        assert failed[0]["actual"] == "u.b = %d" % ref["pairing"]
+        assert basis_calls == [payload["overgroups"][1 - tampered]["name"]]
+
+    def test_functional_failing_only_on_the_restriction(self, basis_calls):
+        # u.b != 0 and u.B_sub = 0 (mod m), but u.RZ != 0 (mod m), so only
+        # the last, costliest test refutes it.  At odd degree the free-lift
+        # overgroups restrict into B_sub rationally, so this uses b_a at
+        # n = 6 under gl2, whose restricted classes are not all coboundaries.
+        sp, sa = builtin("sl2")
+        gl2 = TestCertificates().gl2_overgroup()
+        b = make_ba(6, 1)
+        payload = certify_nonextendable(sp, sa, 6, b, [gl2]).payload
+        sub_rep = sa.rep(6)
+        RZ = restriction_image_matrix(gl2.presentation, gl2.assignment.rep(6),
+                                      gl2.embedding)
+        smith = SmithLattice(coboundary_matrix(sub_rep))
+        u, m = next(
+            (u, m) for u, m in zip(smith.U.data, smith.diagonal())
+            if m > 1 and sum(x * y for x, y in zip(u, b.stacked())) % m
+            and any(x % m for x in RZ.transpose().mulvec(u)))
+        payload["overgroups"][0]["refutation"].update(functional=u,
+                                                      modulus=m)
+        basis_calls.clear()
+        checks = Certificate(payload).verify()
+        failed = [c for c in checks if not c["pass"]]
+        assert [c["name"] for c in failed] == ["gl2 refutation"]
+        assert failed[0]["expected"] == "u.M = 0, u.b != 0 (mod %d)" % m
+        assert failed[0]["actual"] == "u.b = %d" % sum(
+            x * y for x, y in zip(u, b.stacked()))
+        assert basis_calls == ["gl2"]
 
 
 class TestCertificates:

@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from modh1.linalg import (
     AbelianInvariants,
+    AffineMap,
     IntMatrix,
     SmithLattice,
     _smith,
@@ -133,7 +134,29 @@ def test_product_matches_triple_loop(data):
         a, IntMatrix.from_columns([v], rows=k))]
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_affine_map_matches_triple_loop(data):
+    # M*X + C, applied twice to the same map, also with empty shapes
+    m, k, n = (data.draw(st.integers(0, 5)) for _ in range(3))
+    M, C = data.draw(matrices(m, k)), data.draw(matrices(m, n))
+    f = AffineMap(M, C)
+    for _ in range(2):
+        X = data.draw(matrices(k, n))
+        Y = f(X)
+        assert (Y.rows, Y.cols) == (m, n)
+        assert Y.data == [[p + q for p, q in zip(r, s)]
+                          for r, s in zip(triple_loop(M, X), C.data)]
+    with pytest.raises(ValueError):
+        f(IntMatrix.zeros(k + 1, n))
+    with pytest.raises(ValueError):
+        f(IntMatrix.zeros(k, n + 1))
+    with pytest.raises(ValueError):
+        AffineMap(IntMatrix.zeros(m + 1, k), C)
+
+
 RESULTS = {
+    "affine": lambda a, b: AffineMap(a, b)(a),
     "a * b": lambda a, b: a * b,
     "b * a": lambda a, b: b * a,
     "a * 1": lambda a, b: a * 1,

@@ -14,6 +14,7 @@ from modh1.presentations import (
     evaluate_word,
     fox_jacobian,
     relator_condition_matrix,
+    transport_blocks,
 )
 
 
@@ -22,7 +23,7 @@ def test_word_parse_and_format():
     w = Word.parse("s t^-2 s^3", gens)
     assert w.letters == ((0, 1), (1, -1), (1, -1), (0, 1), (0, 1), (0, 1))
     assert w.format(gens) == "s t^-1 t^-1 s s s"
-    assert Word.parse("", gens) == Word.identity()
+    assert Word.parse("", gens) == Word()
     assert (w * w.inverse()).letters[:2] == w.letters[:2]
     assert w.inverse().inverse() == w
 
@@ -214,6 +215,30 @@ class TestFoxJacobian:
                     assert value == IntMatrix.identity(n + 1)
                     assert jacobian_matrix(blocks, k, n + 1).is_zero()
 
+    @pytest.mark.parametrize("group", GROUPS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_walk_carries_coboundaries_to_rho_minus_one(self, group, data):
+        # the coboundary (rho(g) - 1) v takes the value (rho(w) - 1) v
+        assign, k, n, u, v = data.draw(words_in(group))
+        rep = assign.rep(n)
+        eye = IntMatrix.identity(n + 1)
+        B = vstack([m - eye for m in rep])
+        X, Y = transport_blocks([u, u * v], rep, B)
+        assert X + eye == rho_matrix(evaluate_word(u, assign.matrices), n)
+        assert Y + eye == rho_matrix(
+            evaluate_word(u * v, assign.matrices), n)
+
+    def test_walk_checks_the_value_rows(self):
+        pres, assign = builtin("sl2")
+        rep = assign.rep(2)
+        for rows in (0, 3, 7):
+            with pytest.raises(ValueError):
+                transport_blocks([pres.parse_word("s")], rep,
+                                 IntMatrix([[1]] * rows, cols=1))
+        assert transport_blocks([Word()], rep, IntMatrix([[1]] * 6)) == [
+            IntMatrix.zeros(3, 1)]
+
     def test_inverts_only_generators_used_inverted(self, monkeypatch):
         import modh1.presentations as presentations
 
@@ -226,11 +251,17 @@ class TestFoxJacobian:
         monkeypatch.setattr(presentations, "invert_unimodular", spy)
         pres, assign = builtin("gl2")
         rep = assign.rep(2)
-        fox_jacobian([pres.parse_word("s t s w"), pres.parse_word("t^-2")],
-                     rep)
-        assert inverted == [rep[1]]
-        fox_jacobian([Word(), pres.parse_word("s w")], rep)
-        assert inverted == [rep[1]]
+        Z = IntMatrix([[1, -2]] * 9)
+        # the block walk and the Fox Jacobian: t is inverted twice in one
+        # word and once in the next, s and w never
+        for run in (lambda words: transport_blocks(words, rep, Z),
+                    lambda words: fox_jacobian(words, rep)):
+            inverted.clear()
+            run([pres.parse_word("s t s w"), pres.parse_word("t^-2"),
+                 pres.parse_word("w t^-1")])
+            assert inverted == [rep[1]]
+            run([Word(), pres.parse_word("s w")])
+            assert inverted == [rep[1]]
 
     @pytest.mark.parametrize("group", ("psl2", "sl2", "pgl2", "gl2"))
     def test_relator_matrix_matches_reference(self, group):

@@ -73,3 +73,25 @@ def test_trusted_constructor_stays_in_linalg():
     callers = {name for name, tree in module_trees() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "_of"}
     assert callers == {"linalg.py"}
+
+
+def test_fox_jacobian_only_builds_the_relator_matrix():
+    # restrictions, transports and cocycle checks walk vectors along words
+    # (transport_blocks); only the relator condition matrix, whose kernel
+    # is Z^1, needs whole Fox Jacobians
+    callers, named = [], []
+    for module, tree in module_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Call)
+                            and isinstance(sub.func, ast.Name)
+                            and sub.func.id == "fox_jacobian"):
+                        callers.append((module, node.name))
+        for node in ast.walk(tree):
+            if "fox_jacobian" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                named.append(module)
+    assert callers == [("presentations.py", "relator_condition_matrix")]
+    assert "cohomology.py" not in named
