@@ -79,9 +79,6 @@ class QForm:
     def discriminant(self):
         return self.b * self.b - 4 * self.a * self.c
 
-    def evaluate(self, x, y):
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def coefficients(self):
         return (self.a, self.b, self.c)
 
@@ -118,14 +115,6 @@ class AmenableTypeReport:
         self.sl2_type = sl2_type
         self.witness = witness
         self.generator = generator
-
-    def to_payload(self):
-        payload = {"psl_type": self.psl_type, "sl2_type": self.sl2_type}
-        if self.witness is not None:
-            payload["witness"] = self.witness.format()
-        if self.generator is not None:
-            payload["generator"] = self.generator.format()
-        return payload
 
     def __repr__(self):
         extra = ""

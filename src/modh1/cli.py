@@ -24,7 +24,6 @@ from . import __version__
 from .amenable import classify, max_amenable_type, qform
 from .cohomology import (
     Certificate,
-    Overgroup,
     certify_nonextendable,
     certify_noncoboundary,
     certificate_letters,
@@ -57,7 +56,7 @@ from .pell import (
     solve_norm_equation,
 )
 from .polyrep import GEN_T, Mat2, alt_diagonal_sum, eta, rep_trace
-from .presentations import Embedding, builtin
+from .presentations import Overgroup, builtin
 
 
 class Report:
@@ -445,8 +444,8 @@ def cmd_verify(args):
 
 def _gl2_overgroup():
     pres, assignment = builtin("gl2")
-    emb = Embedding(pres, [pres.parse_word("s"), pres.parse_word("t")])
-    return Overgroup("gl2", pres, assignment, emb)
+    return Overgroup("gl2", pres, assignment,
+                     [pres.parse_word("s"), pres.parse_word("t")])
 
 
 def _witness_free_lift(args, p, report):
@@ -486,7 +485,7 @@ def _witness_ba(args, rest, report):
         report.check("class is nonextendable", "refuted", str(e))
         return None
     cok = restriction_cokernel(over.presentation, over.assignment.rep(n),
-                               sub_pres, sub_assign.rep(n), over.embedding)
+                               sub_pres, sub_assign.rep(n), over.words)
     report.record("cokernel", _invariants_payload(cok))
     report.check("cokernel free rank formula",
                  cokernel_rank(n), cok.free_rank)

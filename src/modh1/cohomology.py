@@ -21,18 +21,25 @@ from functools import cached_property
 from .linalg import (
     AbelianInvariants,
     IntMatrix,
-    SmithLattice,
     cokernel_torsion,
     hstack,
     kernel_basis,
     quotient_invariants,
     rank,
+    smith_normal_form,
     solve_integer,
     vstack,
 )
-from .polyrep import GEN_S, GEN_T, GEN_W, Mat2, eta, rho_matrix
+from .polyrep import (
+    GEN_S,
+    GEN_T,
+    GEN_W,
+    Mat2,
+    common_fixed_dim,
+    eta,
+    rho_matrix,
+)
 from .presentations import (
-    Embedding,
     MatrixAssignment,
     Presentation,
     Word,
@@ -49,7 +56,7 @@ class Cocycle:
     __slots__ = ("presentation", "values")
 
     def __init__(self, presentation, values):
-        values = tuple(tuple(int(x) for x in v) for v in values)
+        values = tuple(tuple(_integer(x) for x in v) for v in values)
         if len(values) != len(presentation.generators):
             raise ValueError("one value vector per generator required")
         dims = {len(v) for v in values}
@@ -92,6 +99,13 @@ class Cocycle:
 
     def __repr__(self):
         return "Cocycle(%r, %r)" % (self.presentation.name, self.values)
+
+
+def _integer(x):
+    # x if it is an int: a bool, float or string from JSON is not coerced
+    if type(x) is not int:
+        raise TypeError("integer required, got %r" % (x,))
+    return x
 
 
 class H1Result:
@@ -153,8 +167,9 @@ def _coboundary_coordinates(presentation, rep):
     # A kernel basis K of Z^1, its lattice, and the lattice spanned by the
     # coordinates of the columns of B in K.
     K = cocycle_basis(presentation, rep)
-    lattice = SmithLattice(K)
-    return K, lattice, lattice.coordinate_lattice(coboundary_matrix(rep))
+    lattice = smith_normal_form(K)
+    coords = lattice.coordinate_lattice(coboundary_matrix(rep))
+    return K, lattice, smith_normal_form(coords)
 
 
 def _is_cocycle(presentation, assignment, rep, cocycle):
@@ -190,16 +205,17 @@ def class_order(presentation, rep, cocycle):
     return m
 
 
-def restrict(cocycle, embedding, sub_presentation, ambient_rep):
+def restrict(cocycle, words, sub_presentation, ambient_rep):
     """Pull a cocycle back along a subgroup embedding.
 
+    words[i] spells the i-th subgroup generator in the ambient generators.
     The restricted cocycle's value on a subgroup generator is the transported
     value of the ambient cocycle on the corresponding word.  Each subgroup
     relator, spelled in the ambient generators, must then act trivially
     (carry each coboundary to zero) and carry the cocycle to zero.
     """
     b = IntMatrix.from_columns([cocycle.stacked()])
-    rels, words = sub_presentation.relators, embedding.words
+    rels = sub_presentation.relators
     out = Cocycle(sub_presentation, [
         X.column(0) for X in transport_blocks(words, ambient_rep, b)])
     spelled = [Word(x for g, s in rel.letters for x in (
@@ -215,32 +231,20 @@ def restrict(cocycle, embedding, sub_presentation, ambient_rep):
     return out
 
 
-def restriction_image_matrix(ambient_presentation, ambient_rep, embedding):
-    """Columns: restrictions of a Z^1 basis of the ambient group."""
+def restriction_image_matrix(ambient_presentation, ambient_rep, words):
+    """Columns: restrictions of a Z^1 basis of the ambient group to words."""
     return vstack(transport_blocks(
-        embedding.words, ambient_rep,
+        words, ambient_rep,
         cocycle_basis(ambient_presentation, ambient_rep)))
 
 
 def restriction_cokernel(ambient_presentation, ambient_rep,
-                         sub_presentation, sub_rep, embedding):
-    """Invariants of H^1(subgroup) / image of H^1(ambient group)."""
+                         sub_presentation, sub_rep, words):
+    """Invariants of H^1(subgroup) / image of H^1(ambient group) on words."""
     Z_sub = cocycle_basis(sub_presentation, sub_rep)
     B_sub = coboundary_matrix(sub_rep)
-    RZ = restriction_image_matrix(ambient_presentation, ambient_rep, embedding)
+    RZ = restriction_image_matrix(ambient_presentation, ambient_rep, words)
     return quotient_invariants(Z_sub, hstack([RZ, B_sub]))
-
-
-class Overgroup:
-    """An overgroup with the embedding of the subgroup into it."""
-
-    __slots__ = ("name", "presentation", "assignment", "embedding")
-
-    def __init__(self, name, presentation, assignment, embedding):
-        self.name = name
-        self.presentation = presentation
-        self.assignment = assignment
-        self.embedding = embedding
 
 
 def _refutation(M, target):
@@ -248,7 +252,7 @@ def _refutation(M, target):
     # functional u and modulus m with u.M = 0 mod m but u.target != 0 mod m
     # (m = 0 means exact vanishing), and the pairing u.target.  None when
     # target lies in the lattice.  The record is re-checked before return.
-    ref = SmithLattice(M).refute(target)
+    ref = smith_normal_form(M).refute(target)
     if ref is None:
         return None
     ok, pairing = _refutes(ref[0], ref[1], target, [M])
@@ -271,10 +275,11 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
                           overgroups):
     """Build a certificate that no listed overgroup's cohomology hits the class.
 
-    For each overgroup L the membership question "is the cocycle, modulo
-    coboundaries, the restriction of a cocycle on L" is a lattice membership
-    problem.  When it is solvable the cocycle extends and ValueError is
-    raised; otherwise a Smith-form functional refuting membership is stored.
+    Each overgroup is a presentations.Overgroup.  For each overgroup L the
+    membership question "is the cocycle, modulo coboundaries, the
+    restriction of a cocycle on L" is a lattice membership problem.  When
+    it is solvable the cocycle extends and ValueError is raised; otherwise
+    a Smith-form functional refuting membership is stored.
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
     sub_rep, payload = _claim("nonextendable", sub_presentation,
@@ -283,14 +288,14 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     payload["overgroups"] = entries = []
     for og in overgroups:
         amb_rep = og.assignment.rep(n)
-        RZ = restriction_image_matrix(og.presentation, amb_rep, og.embedding)
+        RZ = restriction_image_matrix(og.presentation, amb_rep, og.words)
         refutation = _refutation(hstack([RZ, B_sub]), cocycle.stacked())
         if refutation is None:
             raise ValueError("the class extends to overgroup %r" % og.name)
         entry = _presentation_payload(og.presentation, og.assignment)
         entry.update(name=og.name, refutation=refutation,
                      embedding=[w.format(og.presentation.generators)
-                                for w in og.embedding.words])
+                                for w in og.words])
         entries.append(entry)
     return Certificate(payload)
 
@@ -353,7 +358,7 @@ def certificate_letters(sub_presentation, overgroups=()):
     """Letters in the relators and embedding words a certificate stores."""
     words = list(sub_presentation.relators)
     for og in overgroups:
-        words += og.presentation.relators + og.embedding.words
+        words += og.presentation.relators + og.words
     return sum(len(w) for w in words)
 
 
@@ -405,7 +410,12 @@ class Certificate:
         return cls(json.loads(text))
 
     def verify(self):
-        """Re-check every claim from stored data; returns a check list."""
+        """Re-check every claim from stored data; returns a check list.
+
+        A field of the wrong JSON type (a float cocycle value, a bool matrix
+        entry, a string flag) or a degree out of bounds fails "payload
+        fields".
+        """
         checks = []
 
         def check(name, ok, expected="ok", actual=None):
@@ -418,25 +428,33 @@ class Certificate:
         if p.get("format") != CERTIFICATE_FORMAT:
             check("format", False, CERTIFICATE_FORMAT, p.get("format"))
             return checks
-        kind = p.get("kind")
-        if kind == "membership-sample":
+        if p.get("kind") == "membership-sample":
             # deferred: the congruence module re-runs the sampled word test
             from .congruence import verify_membership_sample_payload
             verify_membership_sample_payload(p, check)
             return checks
         try:
+            self._verify_claims(check)
+        except TypeError as e:
+            check("payload fields", False, actual=repr(e))
+        return checks
+
+    def _verify_claims(self, check):
+        p = self.payload
+        kind = p.get("kind")
+        try:
             n = check_degree(p["degree"])
             check_cost(n, _payload_letters(p))
         except (KeyError, TypeError, ValueError) as e:
             check("payload fields", False, actual=repr(e))
-            return checks
+            return
         sub_pres, sub_assign = _presentation_from_payload(p["subgroup"])
         try:
             sub_assign.check(sub_pres)
             check("subgroup relators", True)
         except ValueError as e:
             check("subgroup relators", False, actual=str(e))
-            return checks
+            return
         sub_rep = sub_assign.rep(n)
         b = Cocycle(sub_pres, p["cocycle"]["values"])
         check("cocycle condition",
@@ -445,10 +463,10 @@ class Certificate:
         if kind == "noncoboundary":
             self._verify_refutation(check, "coboundary refutation",
                                     p["refutation"], b.stacked(), [B_sub])
-            return checks
+            return
         if kind != "nonextendable":
             check("kind", False, "nonextendable", kind)
-            return checks
+            return
         if not p["overgroups"]:
             check("overgroups listed", False, "at least one", "none")
         for og in p["overgroups"]:
@@ -470,16 +488,14 @@ class Certificate:
 
             def blocks():  # Z^1 of the overgroup only if u.b and u.B_sub pass
                 yield B_sub
-                yield restriction_image_matrix(pres, assign.rep(n),
-                                               Embedding(pres, words))
+                yield restriction_image_matrix(pres, assign.rep(n), words)
             self._verify_refutation(check, "%s refutation" % label,
                                     og["refutation"], b.stacked(), blocks())
-        return checks
 
     @staticmethod
     def _verify_refutation(check, label, ref, target, blocks):
-        u = [int(x) for x in ref["functional"]]
-        m = int(ref["modulus"])
+        u = [_integer(x) for x in ref["functional"]]
+        m = _integer(ref["modulus"])
         if len(u) != len(target):
             check(label, False, "functional length %d" % len(target), len(u))
             return
@@ -647,7 +663,6 @@ def w_invariant_h1_rank(n):
     honest kernels rather than the closed forms.
     """
     _even_only(n)
-    from .polyrep import common_fixed_dim
     if common_fixed_dim([GEN_S, GEN_T], n) != 0:
         raise ValueError("nonzero invariant forms; normalization fails")
     d = n + 1

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .polyrep import GEN_EPS, GEN_S, GEN_T, Mat2
 from .presentations import (
-    Embedding,
     MatrixAssignment,
+    Overgroup,
     Presentation,
     Word,
     builtin,
@@ -107,17 +107,6 @@ class CosetTable:
                 raise ValueError("matrix is singular mod p")
             return p
         return (nu * pow(nv, p - 2, p)) % p
-
-    def to_payload(self):
-        pres, _ = builtin("psl2")
-        return {
-            "prime": self.p,
-            "points": list(self.points),
-            "base": self.base,
-            "perm_s": list(self.perm_s),
-            "perm_t": list(self.perm_t),
-            "transversal": [w.format(pres.generators) for w in self.transversal],
-        }
 
 
 def coset_table(p):
@@ -311,14 +300,6 @@ class FreeBasis:
     def rank(self):
         return len(self.words)
 
-    def to_payload(self):
-        pres, _ = builtin("psl2")
-        return {
-            "prime": self.p,
-            "words": [w.format(pres.generators) for w in self.words],
-            "matrices": [list(m.entries()) for m in self.matrices],
-        }
-
 
 def schreier_free_basis(p):
     """Free basis of the projective c = 0 mod p subgroup, p = 11 mod 12.
@@ -400,24 +381,16 @@ def schreier_free_basis(p):
 class Sl2Lift:
     """A free subgroup lifted into the integer matrix group.
 
-    The lift keeps the basis words, read on the order 4 and order 6
-    generators; its only overgroups are the direct product with the center
-    and the full group, and both are attached for certificate building.
+    Its only overgroups are the direct product with the center and the
+    full group, and both are attached for certificate building.
     """
 
-    __slots__ = ("prime", "presentation", "assignment", "embedding",
-                 "overgroups")
+    __slots__ = ("presentation", "assignment", "overgroups")
 
-    def __init__(self, prime, presentation, assignment, embedding, overgroups):
-        self.prime = prime
+    def __init__(self, presentation, assignment, overgroups):
         self.presentation = presentation
         self.assignment = assignment
-        self.embedding = embedding
         self.overgroups = overgroups
-
-    @property
-    def rank(self):
-        return len(self.presentation.generators)
 
 
 def lift_to_sl2(basis):
@@ -425,17 +398,15 @@ def lift_to_sl2(basis):
 
     Words are reinterpreted on the order 4 generator s and order 6
     generator t; the lifted subgroup is free on the same basis because the
-    projective quotient is injective on it.
+    projective quotient is injective on it.  The basis matrices are the
+    words evaluated on GEN_S and GEN_T, the sl2 assignment's s and t, so
+    they are the lifted generators already.
     """
-    from .cohomology import Overgroup
-
     k = basis.rank
     gens = tuple("x%d" % (i + 1) for i in range(k))
     sub_pres = Presentation("free-lift:%d" % basis.p, gens, ())
     sl2_pres, sl2_assign = builtin("sl2")
-    lifted = [evaluate_word(w, sl2_assign.matrices) for w in basis.words]
-    sub_assign = MatrixAssignment(lifted)
-    embedding = Embedding(sl2_pres, list(basis.words))
+    sub_assign = MatrixAssignment(basis.matrices)
 
     # direct product with the center: z commutes with everything, z^2 = 1
     keps_gens = gens + ("z",)
@@ -444,25 +415,16 @@ def lift_to_sl2(basis):
     for i in range(k):
         relators.append(Word(((z, 1), (i, 1), (z, -1), (i, -1))))
     keps = Presentation("K x <eps>", keps_gens, relators)
-    keps_assign = MatrixAssignment(lifted + [GEN_EPS])
-    keps_emb = Embedding(keps, [Word(((i, 1),)) for i in range(k)])
-
+    keps_assign = MatrixAssignment(basis.matrices + [GEN_EPS])
     overgroups = [
-        Overgroup("K x <eps>", keps, keps_assign, keps_emb),
-        Overgroup("sl2", sl2_pres, sl2_assign, embedding),
+        Overgroup("K x <eps>", keps, keps_assign,
+                  [Word(((i, 1),)) for i in range(k)]),
+        Overgroup("sl2", sl2_pres, sl2_assign, basis.words),
     ]
-    return Sl2Lift(basis.p, sub_pres, sub_assign, embedding, overgroups)
+    return Sl2Lift(sub_pres, sub_assign, overgroups)
 
 
-_SAMPLE_LETTERS = None
-
-
-def _sample_letters():
-    global _SAMPLE_LETTERS
-    if _SAMPLE_LETTERS is None:
-        s, t = GEN_S, GEN_T
-        _SAMPLE_LETTERS = (s, s.inv(), t, t.inv())
-    return _SAMPLE_LETTERS
+_SAMPLE_LETTERS = (GEN_S, GEN_S.inv(), GEN_T, GEN_T.inv())
 
 
 def _sample_words(seed, count, max_length):
@@ -470,12 +432,11 @@ def _sample_words(seed, count, max_length):
     # Twister seeded with `seed`, each word drawn as a length in
     # [1, max_length] followed by that many letters from (s, s^-1, t, t^-1).
     rng = random.Random(seed)
-    letters = _sample_letters()
     for _ in range(count):
         length = rng.randint(1, max_length)
         g = Mat2.identity()
         for _ in range(length):
-            g = g * letters[rng.randrange(4)]
+            g = g * _SAMPLE_LETTERS[rng.randrange(4)]
         yield g
 
 
@@ -547,11 +508,11 @@ def certify_membership_sample(N, seed=0, count=10000, max_length=20):
 def verify_membership_sample_payload(payload, check):
     """Re-run a sampled membership certificate, reporting through check()."""
     try:
-        N = int(payload["modulus"])
-        seed = int(payload["seed"])
-        count = int(payload["count"])
-        max_length = int(payload["max_length"])
-        claimed = int(payload["mismatches"])
+        fields = [payload[k] for k in ("modulus", "seed", "count",
+                                       "max_length", "mismatches")]
+        if any(type(x) is not int for x in fields):  # no bool, float, str
+            raise TypeError("integer fields required, got %r" % (fields,))
+        N, seed, count, max_length, claimed = fields
         digest = str(payload["sample_sha256"])
         check_sample_fields(N, count, max_length)
     except (KeyError, TypeError, ValueError) as e:

@@ -5,17 +5,19 @@ is arbitrary precision for free.  The column-vector convention is used
 throughout the package: a matrix acts on coefficient vectors from the left.
 
 The one normal form here is Smith's: U * A * V = S with U, V unimodular
-and S diagonal, nonnegative, each diagonal entry dividing the next.  It is
-returned as a SmithLattice, which also reads the lattice spanned by the
-columns of A through it.
+and S diagonal, nonnegative, each diagonal entry dividing the next.
+smith_normal_form(A), its one constructor, returns a SmithLattice: U, V
+and the diagonal of S (S itself is never built), through which it reads
+the lattice spanned by the columns of A.
 
 Smith, rank and invert_unimodular rest on one in-place row echelon routine.
 Transforms ride along as appended columns: reducing the rows of [A | I]
 leaves U in the right-hand block, and the Smith form alternates passes on
 [S | U] and [S^T | V^T].  rank reduces the bare rows and carries no
 transform.  The Smith form behind cokernel_torsion, which reads only V and
-the diagonal, starts from A's bare rows and carries no U, and kernel_basis
-stops after its first two passes.
+the diagonal, starts from A's bare rows and carries no U, and so does the
+last Smith form of quotient_invariants, which reads only the diagonal.
+kernel_basis stops after its first two passes.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -241,25 +243,19 @@ def hstack(mats):
 class SmithLattice:
     """A Smith form U*A*V = S, read as the lattice spanned by A's columns.
 
-    SmithLattice(A) is smith_normal_form(A).  A vector v lies in the
-    lattice exactly when each entry of U*v is divisible by the matching
-    diagonal entry of S (entries past the rank must vanish).  That one test
-    gives coordinates, a refuting functional, and the order of v modulo the
-    lattice.  The forms that cokernel_torsion reduces inside this module
-    carry no U (it is None) and are never handed out.
+    Built by smith_normal_form(A) alone.  A vector v lies in the lattice
+    exactly when each entry of U*v is divisible by the matching diagonal
+    entry of S (entries past the rank must vanish).  That one test gives
+    coordinates, a refuting functional, and the order of v modulo the
+    lattice.  The forms that cokernel_torsion and quotient_invariants
+    reduce inside this module carry no U (it is None) and are never handed
+    out.
     """
 
-    __slots__ = ("A", "U", "S", "V", "_diag")
-
-    def __new__(cls, A):
-        return smith_normal_form(A)
-
-    def __reduce__(self):
-        # copy and pickle rebuild the same form from A
-        return smith_normal_form, (self.A,)
+    __slots__ = ("A", "U", "V", "_diag")
 
     def diagonal(self):
-        return self._diag[:self.S.cols]
+        return self._diag[:self.A.cols]
 
     def rank(self):
         return sum(1 for d in self._diag if d)
@@ -324,9 +320,10 @@ class SmithLattice:
         return [u_inv.column(i) for i in range(self.rank(), self.U.rows)]
 
     def coordinate_lattice(self, B):
-        """The lattice spanned by the coordinates of B's columns in A's.
+        """The matrix of the coordinates of B's columns in A's columns.
 
-        A's columns must be independent and B's columns must lie in the
+        Its columns span the coordinate lattice of B in A's lattice.  A's
+        columns must be independent and B's columns must lie in the
         lattice; otherwise ValueError.
         """
         if self.rank() != self.A.cols:
@@ -334,7 +331,7 @@ class SmithLattice:
         coords = [self.coords(col) for col in B.columns()]
         if None in coords:
             raise ValueError("columns of B outside the lattice of A")
-        return SmithLattice(IntMatrix.from_columns(coords, rows=self.A.cols))
+        return IntMatrix.from_columns(coords, rows=self.A.cols)
 
 
 def _augment(A):
@@ -483,8 +480,6 @@ def _smith(A, carry_u):
     snf = object.__new__(SmithLattice)
     snf.A = A
     snf.U = IntMatrix._of(u, m) if carry_u else None
-    snf.S = IntMatrix._of([[s[i] if i == j else 0 for j in range(n)]
-                           for i in range(m)], n)
     snf.V = IntMatrix._of([[row[j] for row in vt] for j in range(n)], n)
     snf._diag = s + [0] * (m - len(s))  # one entry per row of U*v
     return snf
@@ -541,7 +536,7 @@ def cokernel_torsion(A):
 
 def solve_integer(A, b):
     """One integer solution x of A*x = b, or None when none exists."""
-    return SmithLattice(A).coords(b)
+    return smith_normal_form(A).coords(b)
 
 
 def invert_unimodular(M):
@@ -584,16 +579,6 @@ class AbelianInvariants:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def torsion_order(self):
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
-    def two_torsion_exponent(self):
-        """k such that the subgroup of elements of order <= 2 has order 2^k."""
-        return sum(1 for d in self.torsion if d % 2 == 0)
-
     def two_primary_valuation(self):
         """k such that the 2-primary part of the torsion has order 2^k."""
         k = 0
@@ -628,5 +613,6 @@ def quotient_invariants(K, B):
     the lattice spanned by K; a column outside it raises ValueError, since the
     quotient would not be defined.
     """
-    diag = [d for d in SmithLattice(K).coordinate_lattice(B).diagonal() if d]
+    C = smith_normal_form(K).coordinate_lattice(B)
+    diag = [d for d in _smith(C, False).diagonal() if d]
     return AbelianInvariants(K.cols - len(diag), [d for d in diag if d > 1])

@@ -24,7 +24,7 @@ class Mat2:
 
     def __init__(self, a, b, c, d):
         for x in (a, b, c, d):
-            if not isinstance(x, int):
+            if type(x) is not int:  # a bool from JSON is no entry either
                 raise TypeError("integer entries required")
         self.a, self.b, self.c, self.d = a, b, c, d
 
@@ -107,13 +107,6 @@ class Mat2:
     def proj_eq(self, other):
         """Equality in PGL terms, i.e. up to a global sign."""
         return self == other or self == -other
-
-    def proj_normalized(self):
-        """The sign representative whose first nonzero entry is positive."""
-        for x in self.entries():
-            if x:
-                return self if x > 0 else -self
-        return self
 
 
 # Standard generators: the order 4 rotation, the order 6 element, the swap

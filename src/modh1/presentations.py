@@ -2,6 +2,8 @@
 
 Words are stored fully expanded as tuples of (generator index, sign) letters;
 parsing accepts exponent shorthand like "s^-2" but expands it immediately.
+A subgroup sits in an Overgroup as a tuple of words in the overgroup's
+generators, one per subgroup generator.
 A 1-cocycle for a representation rho is determined by its values on the
 generators, and extends to arbitrary words by Fox's transport rule
 
@@ -97,14 +99,17 @@ class MatrixAssignment:
 
     With projective=True relators only need to evaluate to +-identity,
     which is how the PSL and PGL presentations are realized by integer
-    matrices.
+    matrices.  projective must be a bool, never a string or 1 read as one.
     """
 
     __slots__ = ("matrices", "projective")
 
     def __init__(self, matrices, projective=False):
+        if type(projective) is not bool:
+            raise TypeError("projective must be a bool, got %r"
+                            % (projective,))
         self.matrices = tuple(matrices)
-        self.projective = bool(projective)
+        self.projective = projective
 
     def check(self, presentation):
         eye = Mat2.identity()
@@ -120,13 +125,15 @@ class MatrixAssignment:
         return [rho_matrix(m, n) for m in self.matrices]
 
 
-class Embedding:
-    """A subgroup generator list, as words in an ambient presentation."""
+class Overgroup:
+    """An overgroup; words[i] spells subgroup generator i in its generators."""
 
-    __slots__ = ("ambient", "words")
+    __slots__ = ("name", "presentation", "assignment", "words")
 
-    def __init__(self, ambient, words):
-        self.ambient = ambient
+    def __init__(self, name, presentation, assignment, words):
+        self.name = name
+        self.presentation = presentation
+        self.assignment = assignment
         self.words = tuple(words)
 
 

@@ -144,7 +144,7 @@ class TestQForm:
     def test_symmetric_value_at_0_1(self):
         for g in (Mat2(2, 1, 1, 1), Mat2(5, 3, 3, 2), Mat2(10, 7, 7, 5)):
             assert g.b == g.c
-            assert qform(g).evaluate(0, 1) == -g.b
+            assert qform(g).c == -g.b
 
     def test_discriminant_is_trace_square_minus_four(self):
         for g in hyperbolic_corpus(40):
@@ -155,12 +155,6 @@ class TestQForm:
             while r * r < disc:
                 r += 1
             assert r * r != disc
-
-    def test_evaluate(self):
-        form = QForm(1, -2, -2)
-        assert form.evaluate(1, 0) == 1
-        assert form.evaluate(0, 1) == -2
-        assert form.evaluate(2, 3) == 4 - 12 - 18
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
@@ -407,12 +401,3 @@ class TestMaxAmenableType:
             AmenableTypeReport("Z", "Z x C2", witness=GEN_S)
         with pytest.raises(ValueError):
             AmenableTypeReport("C3", "C6", generator=Mat2(1, 1, 0, 1))
-
-    def test_payload(self):
-        payload = max_amenable_type(Mat2(2, 1, 1, 1)).to_payload()
-        assert payload["psl_type"] == "Dinf"
-        assert payload["sl2_type"] == "Z x| C4"
-        assert payload["witness"] == "0,-1;1,0"
-        payload = max_amenable_type(Mat2(1, 3, 0, 1)).to_payload()
-        assert payload["generator"] == "1,1;0,1"
-        assert "witness" not in payload

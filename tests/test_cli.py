@@ -446,12 +446,49 @@ TAMPERS = [
     ("gamma", "altered seed",
      lambda p: p.update(seed=p["seed"] + 1),
      "sampled words digest"),
+    # fields of the wrong JSON type, which int() or bool() would coerce
+    # into the genuine values
+    ("lift1", "cocycle values shifted by 0.5",
+     lambda p: p["cocycle"].update(values=[[x + 0.5 for x in v]
+                                           for v in p["cocycle"]["values"]]),
+     "payload fields"),
+    ("lift1", "cocycle values as decimal strings",
+     lambda p: p["cocycle"].update(values=[[str(x) for x in v]
+                                           for v in p["cocycle"]["values"]]),
+     "payload fields"),
+    ("lift1", "subgroup projective as a string",
+     lambda p: p["subgroup"].update(projective="yes"),
+     "payload fields"),
+    ("lift1", "overgroup projective as a string",
+     lambda p: p["overgroups"][0].update(projective="yes"),
+     "payload fields"),
+    ("ba", "matrix entry as a bool",
+     lambda p: p["subgroup"]["matrices"][0].__setitem__(2, True),
+     "payload fields"),
+    ("ba", "modulus as a string",
+     lambda p: p["overgroups"][0]["refutation"].update(
+         modulus=str(p["overgroups"][0]["refutation"]["modulus"])),
+     "payload fields"),
+    ("ba", "functional as decimal strings",
+     lambda p: p["overgroups"][0]["refutation"].update(functional=[
+         str(x) for x in p["overgroups"][0]["refutation"]["functional"]]),
+     "payload fields"),
+    ("gamma", "fractional seed",
+     lambda p: p.update(seed=0.5),
+     "payload fields"),
+    ("gamma", "count as a string",
+     lambda p: p.update(count=str(p["count"])),
+     "payload fields"),
+    ("gamma", "mismatches as a bool",
+     lambda p: p.update(mismatches=False),
+     "payload fields"),
 ]
 
 WITNESS_ARGS = {
     "ba": ["--kind", "ba:4,1"],
     "beps": ["--kind", "beps:6,11"],
     "lift": ["--kind", "free-lift:11", "--n", "3"],
+    "lift1": ["--kind", "free-lift:11", "--n", "1"],
     "gamma": ["--kind", "gammaN:5", "--count", "200"],
 }
 
@@ -494,7 +531,9 @@ class TestTamperRejection:
                                            check):
         payload = json.loads(certificates[key])
         edit(payload)
-        assert payload != json.loads(certificates[key])
+        # compared as JSON text, where false is not 0
+        assert json.dumps(payload, sort_keys=True) != json.dumps(
+            json.loads(certificates[key]), sort_keys=True)
         code, report = verify_payload(capsys, tmp_path, payload)
         assert code == 1
         assert check in failed_checks(report)

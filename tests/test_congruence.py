@@ -183,11 +183,6 @@ class TestCosetTable:
             assert table.perm_s[x] == table.apply(GEN_S, x)
             assert table.perm_t[x] == table.apply(GEN_T, x)
 
-    def test_payload(self):
-        payload = coset_table(5).to_payload()
-        assert payload["prime"] == 5
-        assert len(payload["transversal"]) == 6
-
 
 class TestTorsionCriterion:
     def test_matches_residue_class(self):
@@ -366,13 +361,6 @@ class TestFreeBasis:
                 assert not g.proj_eq(eye)
                 assert abs(g.a + g.d) >= 2
 
-    def test_payload(self):
-        basis = schreier_free_basis(11)
-        payload = basis.to_payload()
-        assert payload["prime"] == 11
-        assert len(payload["words"]) == 3
-        assert all(len(row) == 4 for row in payload["matrices"])
-
     def test_constructor_rejects_outsiders(self):
         with pytest.raises(ValueError):
             FreeBasis(11, [], [Mat2(1, 0, 1, 1)])
@@ -382,7 +370,7 @@ class TestLift:
     def test_projective_consistency(self):
         basis = schreier_free_basis(11)
         lift = lift_to_sl2(basis)
-        assert lift.rank == 3
+        assert len(lift.presentation.generators) == 3
         for lifted, proj in zip(lift.assignment.matrices, basis.matrices):
             assert lifted.proj_eq(proj)
 
@@ -393,13 +381,13 @@ class TestLift:
         for og in lift.overgroups:
             og.assignment.check(og.presentation)
             # embedding words evaluate to the subgroup generators
-            for w, m in zip(og.embedding.words, lift.assignment.matrices):
+            for w, m in zip(og.words, lift.assignment.matrices):
                 assert evaluate_word(w, og.assignment.matrices) == m
 
     def test_lifted_h1_rank(self):
         # free group of rank k with no invariant vectors: free rank (k-1)(n+1)
         lift = lift_to_sl2(schreier_free_basis(11))
-        k = lift.rank
+        k = len(lift.presentation.generators)
         for n in (1, 2, 3):
             res = h1(lift.presentation, lift.assignment.rep(n))
             assert res.invariants.free_rank == (k - 1) * (n + 1)

@@ -10,7 +10,6 @@ from modh1.linalg import (
     AbelianInvariants,
     AffineMap,
     IntMatrix,
-    SmithLattice,
     _smith,
     cokernel_torsion,
     hstack,
@@ -27,6 +26,13 @@ from modh1.linalg import (
 
 def sym(M):
     return SymMatrix(M.rows, M.cols, [x for row in M.data for x in row])
+
+
+def smith_s(a, snf):
+    # S, the matrix of a's shape with the Smith diagonal
+    d = snf.diagonal()
+    return IntMatrix([[d[i] if i == j else 0 for j in range(a.cols)]
+                      for i in range(a.rows)], cols=a.cols)
 
 
 def sym_det(M):
@@ -194,7 +200,7 @@ def test_smith_diag_2_3():
     a = IntMatrix([[2, 0], [0, 3]])
     snf = smith_normal_form(a)
     assert snf.diagonal() == [1, 6]
-    assert snf.U * a * snf.V == snf.S
+    assert snf.U * a * snf.V == smith_s(a, snf)
     assert abs(sym_det(snf.U)) == 1
     assert abs(sym_det(snf.V)) == 1
 
@@ -238,14 +244,11 @@ def assert_smith(a, snf):
     # U*A*V = S, unimodular transforms, S diagonal, nonnegative, a chain
     assert (snf.U.rows, snf.U.cols) == (a.rows, a.rows)
     assert (snf.V.rows, snf.V.cols) == (a.cols, a.cols)
-    assert snf.U * a * snf.V == snf.S
+    assert snf.U * a * snf.V == smith_s(a, snf)
     assert abs(sym_det(snf.U)) == 1
     assert abs(sym_det(snf.V)) == 1
     diag = snf.diagonal()
-    for i in range(snf.S.rows):
-        for j in range(snf.S.cols):
-            if i != j:
-                assert snf.S.data[i][j] == 0
+    assert len(diag) == min(a.rows, a.cols)
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d]
     assert diag[:len(nz)] == nz
@@ -287,7 +290,7 @@ def test_smith_lattice_against_brute_force():
     rng = random.Random(5)
     for _ in range(60):
         a = random_matrix(rng, 2, 2, bound=3)
-        lattice = SmithLattice(a)
+        lattice = smith_normal_form(a)
         members = {tuple(a.mulvec([x0, x1]))
                    for x0 in range(-36, 37) for x1 in range(-36, 37)}
         for _ in range(5):
@@ -345,8 +348,6 @@ def test_invert_rejects_nonunimodular():
 def test_abelian_invariants():
     g = AbelianInvariants(2, (2, 6))
     assert str(g) == "Z^2 + Z/2 + Z/6"
-    assert g.torsion_order() == 12
-    assert g.two_torsion_exponent() == 2
     assert g.two_primary_valuation() == 2
     assert AbelianInvariants(0, (2, 4, 24)).two_primary_valuation() == 6
     assert str(AbelianInvariants(0)) == "0"
@@ -478,7 +479,6 @@ class TestSmithWithoutU:
         assert bare.U is None
         assert bare.diagonal() == full.diagonal()
         assert bare.V == full.V
-        assert bare.S == full.S
         assert cokernel_torsion(a) == (full.rank(), full.torsion_generators())
 
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -43,19 +43,31 @@ def test_stdlib_only_imports():
     assert found == []
 
 
+def public_definitions(tree):
+    # public module-level functions and classes, and the public methods and
+    # properties of public classes, as dotted names
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_")):
+                        yield "%s.%s" % (node.name, sub.name), sub.name
+
+
 def test_public_names_have_callers():
-    # a public module-level function or class stays only while something
-    # names it besides its own definition: the library, the README or the
-    # acceptance gate, so test-only API does not grow back
+    # a public function, class, method or property stays only while
+    # something names it besides its own definition: the library, the
+    # README or the acceptance gate, so test-only API does not grow back
     root = pathlib.Path(__file__).resolve().parents[1]
     docs = " ".join((root / name).read_text(encoding="utf-8")
                     for name in ("README.md", "tests/test_acceptance.py"))
     defined, named = [], set(re.findall(r"\w+", docs))
     for module, tree in module_trees():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.append((module, node.name))
+        defined.extend((module, dotted, name)
+                       for dotted, name in public_definitions(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -63,7 +75,32 @@ def test_public_names_have_callers():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    assert [d for d in defined if d[1] not in named] == []
+    assert [d[:2] for d in defined if d[2] not in named] == []
+
+
+def test_function_local_imports_are_pinned():
+    # an import inside a function breaks an import cycle or defers a costly
+    # load; each one left is pinned here with its reason
+    pinned = {
+        # Certificate.verify hands membership samples to congruence, which
+        # imports cohomology for the certificate type
+        ("cohomology.py", "verify", "congruence"),
+        ("congruence.py", "certify_membership_sample", "cohomology"),
+        # hashlib loads OpenSSL, about 3.6 MB resident; only samples pay it
+        ("congruence.py", "_sample_record", "hashlib"),
+    }
+    found = set()
+    for module, tree in module_trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    found.add((module, func.name, node.module))
+                elif isinstance(node, ast.Import):
+                    found.update((module, func.name, alias.name)
+                                 for alias in node.names)
+    assert found == pinned
 
 
 def test_trusted_constructor_stays_in_linalg():
