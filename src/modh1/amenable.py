@@ -27,16 +27,11 @@ PSL_C3 = "C3"
 PSL_Z = "Z"
 PSL_DINF = "Dinf"
 
-SL2_C4 = "C4"
-SL2_C6 = "C6"
-SL2_Z_X_C2 = "Z x C2"
-SL2_Z_SEMI_C4 = "Z x| C4"
-
 _SL2_OF_PSL = {
-    PSL_C2: SL2_C4,
-    PSL_C3: SL2_C6,
-    PSL_Z: SL2_Z_X_C2,
-    PSL_DINF: SL2_Z_SEMI_C4,
+    PSL_C2: "C4",
+    PSL_C3: "C6",
+    PSL_Z: "Z x C2",
+    PSL_DINF: "Z x| C4",
 }
 
 
@@ -93,28 +88,28 @@ class QForm:
 class AmenableTypeReport:
     """Isomorphism type of the maximal amenable subgroup containing a matrix.
 
-    psl_type names the subgroup of PSL2(Z) and sl2_type its preimage in
-    SL2(Z).  witness is the trace-zero matrix realizing the dihedral
-    symmetry when psl_type is Dinf; generator is the parabolic generator
-    when the input was parabolic.
+    psl_type names the subgroup of PSL2(Z); sl2_type, its preimage in
+    SL2(Z), is read from it.  witness is the trace-zero matrix realizing
+    the dihedral symmetry when psl_type is Dinf; generator is the
+    parabolic generator when the input was parabolic.
     """
 
-    __slots__ = ("psl_type", "sl2_type", "witness", "generator")
+    __slots__ = ("psl_type", "witness", "generator")
 
-    def __init__(self, psl_type, sl2_type, witness=None, generator=None):
+    def __init__(self, psl_type, witness=None, generator=None):
         if psl_type not in _SL2_OF_PSL:
             raise ValueError("unknown PSL2 type %r" % (psl_type,))
-        if sl2_type != _SL2_OF_PSL[psl_type]:
-            raise ValueError("SL2 type %r does not lift PSL2 type %r"
-                             % (sl2_type, psl_type))
         if (witness is not None) != (psl_type == PSL_DINF):
             raise ValueError("witness accompanies the dihedral type only")
         if generator is not None and psl_type != PSL_Z:
             raise ValueError("generator accompanies the type Z only")
         self.psl_type = psl_type
-        self.sl2_type = sl2_type
         self.witness = witness
         self.generator = generator
+
+    @property
+    def sl2_type(self):
+        return _SL2_OF_PSL[self.psl_type]
 
     def __repr__(self):
         extra = ""
@@ -122,8 +117,7 @@ class AmenableTypeReport:
             extra = ", witness=%r" % (self.witness,)
         if self.generator is not None:
             extra = ", generator=%r" % (self.generator,)
-        return "AmenableTypeReport(%r, %r%s)" % (
-            self.psl_type, self.sl2_type, extra)
+        return "AmenableTypeReport(%r%s)" % (self.psl_type, extra)
 
 
 def _check_det(g):
@@ -336,12 +330,11 @@ def max_amenable_type(g):
                          "subgroup; no type is attached to them")
     if cls.tag == "elliptic":
         if cls.order == 4:
-            return AmenableTypeReport(PSL_C2, SL2_C4)
-        return AmenableTypeReport(PSL_C3, SL2_C6)
+            return AmenableTypeReport(PSL_C2)
+        return AmenableTypeReport(PSL_C3)
     if cls.tag == "parabolic":
-        return AmenableTypeReport(PSL_Z, SL2_Z_X_C2,
-                                  generator=parabolic_generator(g))
+        return AmenableTypeReport(PSL_Z, generator=parabolic_generator(g))
     witness = dinf_decision(g)
     if witness is None:
-        return AmenableTypeReport(PSL_Z, SL2_Z_X_C2)
-    return AmenableTypeReport(PSL_DINF, SL2_Z_SEMI_C4, witness=witness)
+        return AmenableTypeReport(PSL_Z)
+    return AmenableTypeReport(PSL_DINF, witness=witness)

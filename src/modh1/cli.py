@@ -197,18 +197,16 @@ def _nonsquares_up_to(limit):
     return [D for D in range(2, limit + 1) if isqrt(D) ** 2 != D]
 
 
-def hyperbolic_corpus(count, seed=20):
+def hyperbolic_corpus(count):
     """Deterministic corpus of hyperbolic matrices with |trace| <= 20."""
-    rng = random.Random(seed)
+    rng = random.Random(20)
     mats = []
     while len(mats) < count:
         a = rng.randint(-10, 10)
         d = rng.randint(-10, 10)
         if not 2 < abs(a + d) <= 20:
             continue
-        prod = a * d - 1
-        if prod == 0:
-            continue
+        prod = a * d - 1  # nonzero, as a = d = +-1 has |a + d| = 2
         divisors = [k for k in range(1, abs(prod) + 1) if prod % k == 0]
         b = rng.choice(divisors) * rng.choice((1, -1))
         mats.append(Mat2(a, b, prod // b, d))
@@ -342,6 +340,11 @@ def _pell_case(D):
     return checks
 
 
+# entry bound of the brute-force witness search; a witness within it is
+# "small", and must then be found by the search
+_BRUTE_BOUND = 50
+
+
 def _amenable_case(entries):
     g = Mat2(*entries)
     witness = None
@@ -354,18 +357,18 @@ def _amenable_case(entries):
            "decided": witness is not None,
            "brute": brute is not None,
            "valid": True,
-           "small": witness is not None
-                    and max(abs(t) for t in witness.entries()) <= 50}
+           "small": witness is not None and max(
+               abs(t) for t in witness.entries()) <= _BRUTE_BOUND}
     if witness is not None:
         out["valid"] = (witness.trace() == 0 and witness.det() == 1
                         and witness * g == g.inv() * witness)
     return out
 
 
-def _brute_witness(g, bound=50):
+def _brute_witness(g):
     a, b, c, d = g.entries()
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
+    for x in range(-_BRUTE_BOUND, _BRUTE_BOUND + 1):
+        for y in range(-_BRUTE_BOUND, _BRUTE_BOUND + 1):
             num = (d - a) * x - c * y
             if num % b != 0:
                 continue
@@ -718,8 +721,6 @@ def _build_parser():
     p.add_argument("--matrix", required=True,
                    help="entries as a,b;c,d (use --matrix=-1,0;0,-1 "
                         "when the first entry is negative)")
-    p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
     common(p)
 
     p = sub.add_parser("pell", help="Pell equation data for one D")
@@ -745,8 +746,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "json", False):
-        args.format = "json"
     if args.format is None:
         args.format = "json" if args.command == "pell" else "text"
     try:

@@ -35,7 +35,6 @@ from .polyrep import (
     GEN_T,
     GEN_W,
     Mat2,
-    common_fixed_dim,
     eta,
     rho_matrix,
 )
@@ -83,15 +82,6 @@ class Cocycle:
         return Cocycle(self.presentation,
                        [[x + y for x, y in zip(u, v)]
                         for u, v in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, k):
-        return Cocycle(self.presentation,
-                       [[x * k for x in v] for v in self.values])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, Cocycle) and self.values == other.values \
@@ -503,17 +493,15 @@ class Certificate:
         check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m, "u.b = %d" % ub)
 
 
-def make_ba(n, a, group="sl2"):
-    """The cocycle with value a(X^n - Y^n) on the order 4 generator.
+def make_ba(n, a):
+    """The sl2 cocycle with value a(X^n - Y^n) on the order 4 generator.
 
     Defined for even n; vanishes on the order 6 generator.  The value lies in
     ker(S + 1), so the transported relator values all vanish.
     """
     if n < 2 or n % 2:
         raise ValueError("even n >= 2 required")
-    if group not in ("sl2", "psl2"):
-        raise ValueError("group must be sl2 or psl2")
-    pres, assignment = builtin(group)
+    pres, assignment = builtin("sl2")
     v = [0] * (n + 1)
     v[0] = a
     v[n] = -a
@@ -523,8 +511,8 @@ def make_ba(n, a, group="sl2"):
     return b
 
 
-def make_beps(n, eps, group="gl2"):
-    """The symmetric coordinate cocycles on the swap-extended group.
+def make_beps(n, eps):
+    """The symmetric coordinate cocycles on the swap-extended group gl2.
 
     eps is a vector of length beps_count(n); the value on the order 4
     generator is the symmetric form with coefficients eps_k at the odd
@@ -536,8 +524,6 @@ def make_beps(n, eps, group="gl2"):
     """
     if n < 2 or n % 2:
         raise ValueError("even n >= 2 required")
-    if group not in ("gl2", "pgl2"):
-        raise ValueError("group must be gl2 or pgl2")
     m = beps_count(n)
     eps = [int(e) for e in eps]
     if len(eps) != m:
@@ -549,7 +535,7 @@ def make_beps(n, eps, group="gl2"):
         v[n - 2 * k + 1] += eps[k - 1]
     if pairs < m:
         v[n // 2] += eps[m - 1]
-    pres, assignment = builtin(group)
+    pres, assignment = builtin("gl2")
     zero = [0] * (n + 1)
     b = Cocycle(pres, [v, zero, zero])
     if not _is_cocycle(pres, assignment, assignment.rep(n), b):
@@ -557,7 +543,7 @@ def make_beps(n, eps, group="gl2"):
     return b
 
 
-def beps_relation_lattice(n, group="gl2"):
+def beps_relation_lattice(n):
     """Generators of the eps vectors whose symmetric cocycle is a coboundary.
 
     Columns of the returned m x r matrix span the lattice of integer eps
@@ -566,13 +552,13 @@ def beps_relation_lattice(n, group="gl2"):
     a coboundary would be a lattice point with an odd entry.
     """
     m = beps_count(n)
-    pres, assignment = builtin(group)
+    pres, assignment = builtin("gl2")
     rep = assignment.rep(n)
     units = []
     for k in range(m):
         e = [0] * m
         e[k] = 1
-        units.append(make_beps(n, e, group=group).stacked())
+        units.append(make_beps(n, e).stacked())
     E = IntMatrix.from_columns(units, rows=len(pres.generators) * (n + 1))
     ker = kernel_basis(hstack([E, coboundary_matrix(rep)]))
     return IntMatrix([ker.data[i] for i in range(m)], cols=ker.cols)
@@ -663,13 +649,12 @@ def w_invariant_h1_rank(n):
     honest kernels rather than the closed forms.
     """
     _even_only(n)
-    if common_fixed_dim([GEN_S, GEN_T], n) != 0:
-        raise ValueError("nonzero invariant forms; normalization fails")
-    d = n + 1
-    eye = IntMatrix.identity(d)
+    eye = IntMatrix.identity(n + 1)
     S = rho_matrix(GEN_S, n)
     T = rho_matrix(GEN_T, n)
     W = rho_matrix(GEN_W, n)
+    if _stacked_kernel_dim([S - eye, T - eye]) != 0:
+        raise ValueError("nonzero invariant forms; normalization fails")
     sym_normalized = _stacked_kernel_dim([S + eye, W - eye])
     sym_fixed = _stacked_kernel_dim([T - eye, W - eye])
     return sym_normalized - sym_fixed

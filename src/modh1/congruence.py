@@ -68,45 +68,44 @@ _LETTER_S = 0
 _LETTER_T = 1
 
 
+def _projective_image(p, g, point):
+    # image of a point of P^1(F_p), labelled as in CosetTable, under g
+    if point == p:
+        u, v = 1, 0
+    else:
+        u, v = point, 1
+    nu = (g.a * u + g.b * v) % p
+    nv = (g.c * u + g.d * v) % p
+    if nv == 0:
+        if nu == 0:
+            raise ValueError("matrix is singular mod p")
+        return p
+    return (nu * pow(nv, p - 2, p)) % p
+
+
 class CosetTable:
     """Left cosets of the projective Gamma_0-bar(p), as points of P^1(F_p).
 
     Point labels are 0..p-1 for (x:1) and p for (1:0).  The base point is
     (1:0), whose stabilizer is exactly the c = 0 mod p subgroup.  perm_s
-    and perm_t give the left action of the two projective generators,
-    transversal[i] is a word with transversal[i] . base = point i.
+    and perm_t give the left action of the two projective generators and
+    are worked out from p; transversal[i] is a word with
+    transversal[i] . base = point i.
     """
 
     __slots__ = ("p", "points", "base", "perm_s", "perm_t", "transversal")
 
-    def __init__(self, p, points, base, perm_s, perm_t, transversal):
+    def __init__(self, p, transversal):
         self.p = p
-        self.points = points
-        self.base = base
-        self.perm_s = perm_s
-        self.perm_t = perm_t
+        self.points = range(p + 1)
+        self.base = p
+        self.perm_s = [self.apply(GEN_S, x) for x in self.points]
+        self.perm_t = [self.apply(GEN_T, x) for x in self.points]
         self.transversal = transversal
-        n = len(points)
-        if n != p + 1:
-            raise ValueError("expected %d projective points" % (p + 1))
-        for perm in (perm_s, perm_t):
-            if sorted(perm) != list(range(n)):
-                raise ValueError("generator action is not a bijection")
 
     def apply(self, g, point):
         """Image of a point under an integer matrix, projectively mod p."""
-        p = self.p
-        if point == p:
-            u, v = 1, 0
-        else:
-            u, v = point, 1
-        nu = (g.a * u + g.b * v) % p
-        nv = (g.c * u + g.d * v) % p
-        if nv == 0:
-            if nu == 0:
-                raise ValueError("matrix is singular mod p")
-            return p
-        return (nu * pow(nv, p - 2, p)) % p
+        return _projective_image(self.p, g, point)
 
 
 def coset_table(p):
@@ -118,23 +117,18 @@ def coset_table(p):
     """
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
-    points = list(range(p + 1))
-    base = p
-    table = CosetTable.__new__(CosetTable)
-    table.p = p
-
     t_inv = GEN_T.inv()
     letters = [(GEN_S, (_LETTER_S, 1)), (GEN_T, (_LETTER_T, 1)),
                (t_inv, (_LETTER_T, -1))]
     transversal = [None] * (p + 1)
-    transversal[base] = Word(())
-    queue = [base]
+    transversal[p] = Word(())  # the base point (1:0)
+    queue = [p]
     seen = 1
     while queue:
         nxt = []
         for x in queue:
             for mat, letter in letters:
-                y = table.apply(mat, x)
+                y = _projective_image(p, mat, x)
                 if transversal[y] is None:
                     transversal[y] = Word((letter,)) * transversal[x]
                     nxt.append(y)
@@ -142,10 +136,7 @@ def coset_table(p):
         queue = nxt
     if seen != p + 1:
         raise RuntimeError("action is not transitive")
-
-    perm_s = [table.apply(GEN_S, x) for x in points]
-    perm_t = [table.apply(GEN_T, x) for x in points]
-    return CosetTable(p, points, base, perm_s, perm_t, transversal)
+    return CosetTable(p, transversal)
 
 
 def torsion_criterion(p):
@@ -272,10 +263,8 @@ def _nielsen_reduce(elems):
                 ]
                 best = min(candidates, key=len)
                 if len(best) < len(a):
-                    if best:
-                        elems[i] = best
-                    else:
-                        elems.pop(i)
+                    # nonempty: after the dedupe b is neither a nor a^-1
+                    elems[i] = best
                     changed = True
                     break
             if changed:

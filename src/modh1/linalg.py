@@ -13,11 +13,13 @@ the lattice spanned by the columns of A.
 Smith, rank and invert_unimodular rest on one in-place row echelon routine.
 Transforms ride along as appended columns: reducing the rows of [A | I]
 leaves U in the right-hand block, and the Smith form alternates passes on
-[S | U] and [S^T | V^T].  rank reduces the bare rows and carries no
-transform.  The Smith form behind cokernel_torsion, which reads only V and
-the diagonal, starts from A's bare rows and carries no U, and so does the
-last Smith form of quotient_invariants, which reads only the diagonal.
-kernel_basis stops after its first two passes.
+[S | U] and [S^T | V^T].  Each pass leaves positive pivots in its leading
+rows, so the nonzero entries of the final diagonal are already a positive
+prefix.  rank reduces the bare rows and carries no transform.  The Smith
+form behind cokernel_torsion, which reads only V and the diagonal, starts
+from A's bare rows and carries no U, and so does the last Smith form of
+quotient_invariants, which reads only the diagonal.  kernel_basis stops
+after its first two passes.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -155,11 +157,6 @@ class IntMatrix:
                         acc[j] += x * y
             out.append(acc)
         return IntMatrix._of(out, n)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def mulvec(self, v):
         """Matrix times column vector, returned as a list."""
@@ -417,8 +414,9 @@ def _smith(A, carry_u):
     Reduction alternates row Hermite passes on [S | U] and on [S^T | V^T].
     Each pass keeps entries reduced modulo the pivots, which is what keeps
     coefficient growth in check; single-pivot elimination blows up already
-    on modest kernel-basis matrices.  The diagonal is then repaired into a
-    chain with exact 2x2 gcd/lcm transforms.
+    on modest kernel-basis matrices.  The diagonal the last pass leaves is
+    already a prefix of positive pivots; it is then repaired into a chain
+    with exact 2x2 gcd/lcm transforms.
     """
     m, n = A.rows, A.cols
     su = _augment(A) if carry_u else [list(row) for row in A.data]
@@ -435,24 +433,11 @@ def _smith(A, carry_u):
             break
     else:
         raise RuntimeError("Smith reduction failed to converge")
+    # The last pass left S in row or column echelon form, so its nonzero
+    # diagonal entries are positive pivots and a prefix of the diagonal.
     s = [su[i][i] for i in range(min(m, n))]
     u = [row[n:] for row in su]
-
-    # Pack the nonzero diagonal entries into a prefix.  Hermite passes leave
-    # an echelon structure, so this is normally a no-op, but it is cheap.
-    t = 0
-    for i, x in enumerate(s):
-        if x:
-            if i != t:
-                s[i], s[t] = s[t], s[i]
-                u[i], u[t] = u[t], u[i]
-                vt[i], vt[t] = vt[t], vt[i]
-            t += 1
-    r = t
-    for i in range(r):
-        if s[i] < 0:
-            s[i] = -s[i]
-            u[i] = [-x for x in u[i]]
+    r = sum(1 for x in s if x)
 
     # Repair divisibility with two-sided 2x2 transforms:
     # P [a 0; 0 b] Q = [g 0; 0 ab/g] for P = [x y; -b/g a/g],
@@ -502,9 +487,9 @@ def kernel_basis(A):
     form H, and a column pass on the rows of [H^T | I] leaves the kernel in
     the transform rows past r.  Later passes never change or move those
     rows: their S block is zero, so they are never a pivot and never
-    reduced; pivot swaps stay below the rank; and the packing step and the
-    divisibility repair touch only indices below the rank.  H's zero rows
-    past r are left out of H^T, as zero columns are never a pivot.
+    reduced; pivot swaps stay below the rank; and the divisibility repair
+    touches only indices below the rank.  H's zero rows past r are left out
+    of H^T, as zero columns are never a pivot.
     """
     n = A.cols
     rows = [list(row) for row in A.data]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .linalg import IntMatrix, rank, vstack
+from .linalg import IntMatrix
 
 
 class Mat2:
@@ -177,12 +177,3 @@ def alt_diagonal_sum(n):
     """
     return sum((-1) ** k * comb(n - k, k) for k in range(n // 2 + 1))
 
-
-def common_fixed_dim(mats, n):
-    """Dimension over Q of the forms of degree n fixed by every listed matrix."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("at least one matrix required")
-    eye = IntMatrix.identity(n + 1)
-    stacked = vstack([rho_matrix(A, n) - eye for A in mats])
-    return n + 1 - rank(stacked)

@@ -10,7 +10,7 @@ import pytest
 
 import modh1.cli
 from modh1.cli import _job_count, main
-from modh1.cohomology import certify_noncoboundary, make_ba
+from modh1.cohomology import Cocycle, certify_noncoboundary, make_ba
 from modh1.presentations import Word, builtin, evaluate_word
 
 
@@ -112,12 +112,6 @@ class TestClassify:
         res = payload["results"]
         assert res["class"] == "central"
         assert "psl_type" not in res
-
-    def test_json_flag_alias(self, capsys):
-        code = main(["classify", "--matrix", "1,3;0,1", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["command"] == "classify"
 
     def test_wrong_determinant_is_usage_error(self, capsys):
         assert main(["classify", "--matrix", "1,2;3,4"]) == 2
@@ -440,6 +434,18 @@ TAMPERS = [
     ("beps", "altered cocycle entry",
      lambda p: p["cocycle"]["values"][0].__setitem__(0, 1),
      "cocycle condition"),
+    ("ba", "unknown kind",
+     lambda p: p.update(kind="bogus"),
+     "kind"),
+    ("beps", "unknown kind",
+     lambda p: p.update(kind="bogus"),
+     "kind"),
+    ("ba", "subgroup matrix breaking a relator",
+     lambda p: p["subgroup"]["matrices"].__setitem__(0, [1, 1, 0, 1]),
+     "subgroup relators"),
+    ("beps", "subgroup matrix breaking a relator",
+     lambda p: p["subgroup"]["matrices"].__setitem__(0, [1, 1, 0, 1]),
+     "subgroup relators"),
     ("gamma", "altered mismatch count",
      lambda p: p.update(mismatches=3),
      "claimed mismatch count"),
@@ -554,7 +560,8 @@ class TestTamperRejection:
         # rho_3 sends the psl2 relators to -1, so there is no cocycle
         # condition to check: a usage error, not a failed check
         pres, assign = builtin("psl2")
-        cert = certify_noncoboundary(pres, assign, 4, make_ba(4, 1, "psl2"))
+        cert = certify_noncoboundary(pres, assign, 4,
+                                     Cocycle(pres, make_ba(4, 1).values))
         payload = json.loads(cert.to_json())
         payload["degree"] = 3
         payload["cocycle"]["values"] = [[1, 0, 0, -1], [0, 0, 0, 0]]

@@ -64,7 +64,7 @@ from modh1.linalg import (
     solve_integer,
     vstack,
 )
-from modh1.polyrep import GEN_S, GEN_T, GEN_W, common_fixed_dim, rho_matrix
+from modh1.polyrep import GEN_S, GEN_T, GEN_W, rho_matrix
 from modh1.presentations import (
     Overgroup,
     Presentation,
@@ -286,7 +286,7 @@ class TestDimensionFormulas:
         S = rho_matrix(GEN_S, n)
         T = rho_matrix(GEN_T, n)
         W = rho_matrix(GEN_W, n)
-        assert t_fixed_dim(n) == common_fixed_dim([GEN_T], n)
+        assert t_fixed_dim(n) == d - rank(T - eye)
         assert normalized_cocycle_dim(n) == d - rank(S + eye)
         assert normalized_sym_dim(n) == d - rank(vstack([S + eye, W - eye]))
         assert t_fixed_sym_dim(n) == d - rank(vstack([T - eye, W - eye]))

@@ -10,7 +10,6 @@ from modh1.polyrep import (
     GEN_W,
     Mat2,
     alt_diagonal_sum,
-    common_fixed_dim,
     eta,
     rep_trace,
     rho_matrix,
@@ -122,14 +121,3 @@ def test_trace_of_order6_inverse_is_eta():
     for n in range(0, 41, 2):
         assert rep_trace(tinv, n) == eta(n)
 
-
-def test_common_fixed_dim():
-    # No form of positive degree is fixed by the whole modular group.
-    for n in range(1, 11):
-        assert common_fixed_dim([GEN_S, GEN_T], n) == 0
-    # A single translation fixes exactly the powers of its eigenvector.
-    shear = Mat2(1, 1, 0, 1)
-    for n in range(1, 8):
-        assert common_fixed_dim([shear], n) == 1
-    # Everything is fixed by the identity.
-    assert common_fixed_dim([Mat2.identity()], 5) == 6

@@ -132,3 +132,66 @@ def test_fox_jacobian_only_builds_the_relator_matrix():
                 named.append(module)
     assert callers == [("presentations.py", "relator_condition_matrix")]
     assert "cohomology.py" not in named
+
+
+def defaulted_parameters(tree):
+    # (dotted name, called name, parameter, position) for every defaulted
+    # parameter of a public function, or of __init__ or a public method of
+    # a public class; position is None for keyword-only parameters
+    def params(func, skip):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            yield a.arg, i - skip
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield a.arg, None
+
+    for node in tree.body:
+        if node.__class__ not in (ast.FunctionDef, ast.ClassDef) \
+                or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            methods = [(node.name, node.name, node, 0)]
+        else:
+            methods = [
+                ("%s.%s" % (node.name, sub.name),
+                 node.name if sub.name == "__init__" else sub.name, sub,
+                 0 if any(getattr(d, "id", None) == "staticmethod"
+                          for d in sub.decorator_list) else 1)
+                for sub in node.body if isinstance(sub, ast.FunctionDef)
+                and (sub.name == "__init__" or not sub.name.startswith("_"))]
+        for dotted, called, func, skip in methods:
+            for name, position in params(func, skip):
+                yield dotted, called, name, position
+
+
+def test_defaults_are_passed():
+    # an option whose default is the only value ever passed is a constant:
+    # each defaulted parameter is passed, by keyword or by position, in
+    # some call in the library or the acceptance gate
+    root = pathlib.Path(__file__).resolve().parents[1]
+    trees = dict(module_trees())
+    calls = {}  # called name -> positions and keywords passed
+    for tree in list(trees.values()) + [ast.parse(
+            (root / "tests/test_acceptance.py").read_text(encoding="utf-8"))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                passed = calls.setdefault(name, set())
+                passed.update("*" if isinstance(a, ast.Starred) else i
+                              for i, a in enumerate(node.args))
+                passed.update(k.arg or "**" for k in node.keywords)
+    exempt = {("cli.py", "main", "argv")}  # None reads sys.argv
+    unpassed = []
+    for module, tree in trees.items():
+        for dotted, called, name, position in defaulted_parameters(tree):
+            ways = {name, "**"}
+            if position is not None:
+                ways |= {position, "*"}
+            if (module, dotted, name) not in exempt \
+                    and not ways & calls.get(called, set()):
+                unpassed.append("%s:%s(%s)" % (module, dotted, name))
+    assert unpassed == []
