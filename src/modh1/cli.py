@@ -24,6 +24,7 @@ from . import __version__
 from .amenable import classify, max_amenable_type, qform
 from .cohomology import (
     Certificate,
+    Cocycle,
     certify_nonextendable,
     certify_noncoboundary,
     certificate_letters,
@@ -225,17 +226,16 @@ def cmd_h1(args):
         p = int(group.split(":", 1)[1])
         basis = schreier_free_basis(p)
         lift = lift_to_sl2(basis)
-        res = h1(lift.presentation, lift.assignment.rep(args.n))
+        inv = h1(lift.presentation, lift.assignment.rep(args.n))
         k = len(basis.words)
         report.record("cosets", p + 1)
         report.record("basis_rank", k)
-        report.record("invariants", _invariants_payload(res.invariants))
+        report.record("invariants", _invariants_payload(inv))
         report.check("free rank is (k - 1)(n + 1)",
-                     (k - 1) * (args.n + 1), res.invariants.free_rank)
+                     (k - 1) * (args.n + 1), inv.free_rank)
         return report
     pres, assignment = builtin(group)
-    res = h1(pres, assignment.rep(args.n))
-    inv = res.invariants
+    inv = h1(pres, assignment.rep(args.n))
     report.record("invariants", _invariants_payload(inv))
     report.record("trivial", inv.is_trivial())
     if args.n % 2 == 0 and group in ("psl2", "gl2"):
@@ -251,18 +251,18 @@ def cmd_h1(args):
 def _formulas_case(n):
     checks = []
     pres, assignment = builtin("psl2")
-    res_psl = h1(pres, assignment.rep(n))
+    inv_psl = h1(pres, assignment.rep(n))
     checks.append(("psl2 rank formula n=%d" % n,
-                   rank_psl2(n), res_psl.invariants.free_rank))
+                   rank_psl2(n), inv_psl.free_rank))
     pres, assignment = builtin("sl2")
-    res_sl = h1(pres, assignment.rep(n))
+    inv_sl = h1(pres, assignment.rep(n))
     checks.append(("sl2 invariants match psl2 n=%d" % n,
-                   _invariants_payload(res_psl.invariants),
-                   _invariants_payload(res_sl.invariants)))
+                   _invariants_payload(inv_psl),
+                   _invariants_payload(inv_sl)))
     pres, assignment = builtin("gl2")
-    res_gl = h1(pres, assignment.rep(n))
+    inv_gl = h1(pres, assignment.rep(n))
     checks.append(("gl2 rank formula n=%d" % n,
-                   rank_gl2(n), res_gl.invariants.free_rank))
+                   rank_gl2(n), inv_gl.free_rank))
     checks.append(("gl2 swap-invariant route n=%d" % n,
                    rank_gl2(n), w_invariant_h1_rank(n)))
     return checks
@@ -459,21 +459,27 @@ def _witness_free_lift(args, p, report):
     lift = lift_to_sl2(basis)
     # refuse a certificate too costly to re-check before building it
     check_cost(args.n, certificate_letters(lift.presentation, lift.overgroups))
-    res = h1(lift.presentation, lift.assignment.rep(args.n))
     report.record("basis_rank", len(basis.words))
-    report.record("h1_free_rank", res.invariants.free_rank)
-    for cocycle in res.free_basis:
-        try:
-            cert = certify_nonextendable(lift.presentation, lift.assignment,
-                                         args.n, cocycle, lift.overgroups)
-        except ValueError:
-            continue
-        refuted = sorted(e["name"] for e in cert.payload["overgroups"])
-        report.record("overgroups", refuted)
-        report.check("refuted overgroups", ["K x <eps>", "sl2"], refuted)
-        return cert
-    report.check("some basis class is nonextendable", True, False)
-    return None
+    report.record("h1_free_rank", h1(lift.presentation,
+                                     lift.assignment.rep(args.n)).free_rank)
+    # The unit cocycle: X^n on the first generator, 0 on the others.  Both
+    # overgroups hold a central element acting by -1 on P_n at odd n, so
+    # their restricted classes are 2-torsion ("center kills", Brown,
+    # Cohomology of Groups, III.8), and a class of infinite order, as the
+    # unit class is at every p and n the tests cover, extends to neither.
+    unit = [0] * (len(basis.words) * (args.n + 1))
+    unit[0] = 1
+    cocycle = Cocycle.from_stacked(lift.presentation, unit, args.n + 1)
+    try:
+        cert = certify_nonextendable(lift.presentation, lift.assignment,
+                                     args.n, cocycle, lift.overgroups)
+    except ValueError as e:
+        report.check("unit class is nonextendable", "refuted", str(e))
+        return None
+    refuted = sorted(e["name"] for e in cert.payload["overgroups"])
+    report.record("overgroups", refuted)
+    report.check("refuted overgroups", ["K x <eps>", "sl2"], refuted)
+    return cert
 
 
 def _witness_ba(args, rest, report):
@@ -655,7 +661,9 @@ def cmd_verify_certificate(args):
         checks = cert.verify()
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError("malformed certificate payload: %s" % e)
-    report.record("kind", cert.payload.get("kind"))
+    payload = cert.payload
+    report.record("kind", payload.get("kind")
+                  if isinstance(payload, dict) else None)
     report.merge(checks)
     return report
 

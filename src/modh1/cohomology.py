@@ -4,8 +4,11 @@ The cocycle lattice Z^1 is the integer kernel of the relator condition
 matrix R, and the coboundary lattice B^1 is the column span of the stacked
 (rho(g) - 1), written B.  As a kernel, Z^1 is saturated in Z^N, so the
 torsion of H^1 = Z^1 / B^1 is the torsion of Z^N / B^1: the nontrivial
-elementary divisors of B, read off one Smith form of B.  The free rank is
-dim Z^1 - rank B.  Everything is exact.
+elementary divisors of B, read off one Smith form of B that carries no
+transform.  The free rank is dim Z^1 - rank B.  h1 returns these
+invariants and no cocycles; class_order reads the order of one given
+class by a second route, in coordinates of a kernel basis of Z^1.
+Everything is exact.
 
 The closed forms at the end of the module give the expected free ranks for
 the projective modular group and its extension by the swap, together with
@@ -16,12 +19,11 @@ divisibility, so a non-integral value raises instead of silently rounding.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 
 from .linalg import (
     AbelianInvariants,
     IntMatrix,
-    cokernel_torsion,
+    cokernel_invariants,
     hstack,
     kernel_basis,
     quotient_invariants,
@@ -98,31 +100,6 @@ def _integer(x):
     return x
 
 
-class H1Result:
-    """Invariants of H^1 together with cocycles realizing the generators.
-
-    torsion_basis holds pairs (cocycle, order).
-    """
-
-    def __init__(self, invariants, torsion_basis, presentation, rep):
-        self.invariants = invariants
-        self.torsion_basis = list(torsion_basis)
-        self.presentation = presentation
-        self.rep = rep
-
-    @cached_property
-    def free_basis(self):
-        """Cocycles whose classes form a basis of H^1 modulo torsion.
-
-        Built on first access, as one product: K times the free complement
-        of the lattice of coordinates of B^1 in a kernel basis K of Z^1.
-        """
-        K, _, coords = _coboundary_coordinates(self.presentation, self.rep)
-        X = IntMatrix.from_columns(coords.free_complement(), rows=K.cols)
-        return [Cocycle.from_stacked(self.presentation, c, self.rep[0].rows)
-                for c in (K * X).columns()]
-
-
 def coboundary_matrix(rep):
     """Stacked (rho(g) - 1) for all generators; columns span B^1."""
     eye = IntMatrix.identity(rep[0].rows)
@@ -135,31 +112,17 @@ def cocycle_basis(presentation, rep):
 
 
 def h1(presentation, rep):
-    """H^1 of the presented group acting through rep, with torsion lifts.
+    """The AbelianInvariants of H^1 of the presented group acting through rep.
 
-    The torsion generators of Z^N / B^1 lie in Z^1 because Z^1 is saturated
-    and holds B^1, so their classes generate the torsion of H^1.
+    Z^1 is saturated and holds B^1, so the torsion of H^1 is that of
+    Z^N / B^1, and its free rank is that of Z^N / B^1 less rank R.
     """
-    d = rep[0].rows
     R = relator_condition_matrix(presentation, rep)
     B = coboundary_matrix(rep)
     if not (R * B).is_zero():
         raise RuntimeError("coboundaries outside the cocycle lattice")
-    rank_b, torsion = cokernel_torsion(B)
-    torsion_basis = [(Cocycle.from_stacked(presentation, vec, d), di)
-                     for vec, di in torsion]
-    invariants = AbelianInvariants(B.rows - rank(R) - rank_b,
-                                   [t for _, t in torsion_basis])
-    return H1Result(invariants, torsion_basis, presentation, rep)
-
-
-def _coboundary_coordinates(presentation, rep):
-    # A kernel basis K of Z^1, its lattice, and the lattice spanned by the
-    # coordinates of the columns of B in K.
-    K = cocycle_basis(presentation, rep)
-    lattice = smith_normal_form(K)
-    coords = lattice.coordinate_lattice(coboundary_matrix(rep))
-    return K, lattice, smith_normal_form(coords)
+    inv = cokernel_invariants(B)
+    return AbelianInvariants(inv.free_rank - rank(R), inv.torsion)
 
 
 def _is_cocycle(presentation, assignment, rep, cocycle):
@@ -183,14 +146,14 @@ def class_order(presentation, rep, cocycle):
     Computed in coordinates of a kernel basis of Z^1, a route independent
     of the Smith form of B that h1 reads its invariants from.
     """
-    _, lattice, coords = _coboundary_coordinates(presentation, rep)
+    lattice = smith_normal_form(cocycle_basis(presentation, rep))
     x = lattice.coords(cocycle.stacked())
     if x is None:
         raise ValueError("not a cocycle for this presentation")
-    m = coords.order(x)
+    B = coboundary_matrix(rep)
+    m = smith_normal_form(lattice.coordinate_lattice(B)).order(x)
     if m is not None and solve_integer(
-            coboundary_matrix(rep),
-            [m * v for v in cocycle.stacked()]) is None:
+            B, [m * v for v in cocycle.stacked()]) is None:
         raise RuntimeError("class order %d does not kill the class" % m)
     return m
 
@@ -415,8 +378,9 @@ class Certificate:
                            else ("ok" if ok else "failed")})
 
         p = self.payload
-        if p.get("format") != CERTIFICATE_FORMAT:
-            check("format", False, CERTIFICATE_FORMAT, p.get("format"))
+        fmt = p.get("format") if isinstance(p, dict) else "not a JSON object"
+        if fmt != CERTIFICATE_FORMAT:
+            check("format", False, CERTIFICATE_FORMAT, fmt)
             return checks
         if p.get("kind") == "membership-sample":
             # deferred: the congruence module re-runs the sampled word test

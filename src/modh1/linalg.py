@@ -15,11 +15,10 @@ Transforms ride along as appended columns: reducing the rows of [A | I]
 leaves U in the right-hand block, and the Smith form alternates passes on
 [S | U] and [S^T | V^T].  Each pass leaves positive pivots in its leading
 rows, so the nonzero entries of the final diagonal are already a positive
-prefix.  rank reduces the bare rows and carries no transform.  The Smith
-form behind cokernel_torsion, which reads only V and the diagonal, starts
-from A's bare rows and carries no U, and so does the last Smith form of
-quotient_invariants, which reads only the diagonal.  kernel_basis stops
-after its first two passes.
+prefix.  rank reduces the bare rows and carries no transform, and so does
+the Smith form behind cokernel_invariants, which reads only the diagonal:
+it starts from A's bare rows and carries neither U nor V.  kernel_basis
+stops after its first two passes.  No Smith transform is ever inverted.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -244,9 +243,8 @@ class SmithLattice:
     exactly when each entry of U*v is divisible by the matching diagonal
     entry of S (entries past the rank must vanish).  That one test gives
     coordinates, a refuting functional, and the order of v modulo the
-    lattice.  The forms that cokernel_torsion and quotient_invariants
-    reduce inside this module carry no U (it is None) and are never handed
-    out.
+    lattice.  The form cokernel_invariants reduces inside this module
+    carries no transform (U and V are None) and is never handed out.
     """
 
     __slots__ = ("A", "U", "V", "_diag")
@@ -290,31 +288,6 @@ class SmithLattice:
             elif c:
                 return None
         return m
-
-    def torsion_generators(self):
-        """Pairs (A*V[:, i] / d_i, d_i) over the diagonal entries d_i > 1.
-
-        A*V[:, i] is d_i times column i of U^-1, so each quotient is an
-        integer vector whose class modulo the lattice has order d_i, and
-        the classes generate the torsion of Z^rows / lattice.
-        """
-        out = []
-        for i, d in enumerate(self.diagonal()):
-            if d > 1:
-                col = self.A.mulvec(self.V.column(i))
-                if any(x % d for x in col):
-                    raise RuntimeError(
-                        "Smith column not divisible by its entry")
-                out.append(([x // d for x in col], d))
-        return out
-
-    def free_complement(self):
-        """The columns of U^-1 past the rank.
-
-        Their classes are a basis of Z^rows / lattice modulo torsion.
-        """
-        u_inv = invert_unimodular(self.U)
-        return [u_inv.column(i) for i in range(self.rank(), self.U.rows)]
 
     def coordinate_lattice(self, B):
         """The matrix of the coordinates of B's columns in A's columns.
@@ -403,13 +376,14 @@ def smith_normal_form(A):
     return _smith(A, True)
 
 
-def _smith(A, carry_u):
+def _smith(A, transforms):
     """The one Smith reduction of A.
 
-    With carry_u it reduces the rows of [A | I], whose right-hand block
-    becomes U; otherwise A's bare rows, for readers of V and the diagonal
-    alone, and U is None.  Pivots are chosen from A's columns only, so
-    both give the same diagonal and V.
+    With transforms it reduces the rows of [A | I], whose right-hand block
+    becomes U, and the columns of [A^T | I], whose right-hand block
+    becomes V^T; otherwise A's bare rows and columns, for readers of the
+    diagonal alone, and U and V are None.  Pivots are chosen from A's
+    entries only, so both give the same diagonal.
 
     Reduction alternates row Hermite passes on [S | U] and on [S^T | V^T].
     Each pass keeps entries reduced modulo the pivots, which is what keeps
@@ -419,8 +393,8 @@ def _smith(A, carry_u):
     with exact 2x2 gcd/lcm transforms.
     """
     m, n = A.rows, A.cols
-    su = _augment(A) if carry_u else [list(row) for row in A.data]
-    vt = IntMatrix.identity(n).data
+    su = _augment(A) if transforms else [list(row) for row in A.data]
+    vt = IntMatrix.identity(n).data if transforms else [[] for _ in range(n)]
     for _ in range(4 + 2 * max(m, n)):
         _echelon(su, n)
         if _is_diagonal(su, n):
@@ -464,8 +438,9 @@ def _smith(A, carry_u):
             vt[i + 1] = [-yb * p + xa * q for p, q in zip(vi, vj)]
     snf = object.__new__(SmithLattice)
     snf.A = A
-    snf.U = IntMatrix._of(u, m) if carry_u else None
-    snf.V = IntMatrix._of([[row[j] for row in vt] for j in range(n)], n)
+    snf.U = IntMatrix._of(u, m) if transforms else None
+    snf.V = (IntMatrix._of([[row[j] for row in vt] for j in range(n)], n)
+             if transforms else None)
     snf._diag = s + [0] * (m - len(s))  # one entry per row of U*v
     return snf
 
@@ -507,16 +482,6 @@ def kernel_basis(A):
                 break
         cols.append(c)
     return IntMatrix.from_columns(cols, rows=n)
-
-
-def cokernel_torsion(A):
-    """The rank of A and the torsion generators of Z^rows / A Z^cols.
-
-    The pairs (vector, order) are those of SmithLattice.torsion_generators;
-    they read only V and the diagonal, so the reduction carries no U.
-    """
-    snf = _smith(A, False)
-    return snf.rank(), snf.torsion_generators()
 
 
 def solve_integer(A, b):
@@ -591,6 +556,12 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
+def cokernel_invariants(A):
+    """Invariants of Z^rows / A Z^cols, off a Smith form with no transform."""
+    diag = [d for d in _smith(A, False).diagonal() if d]
+    return AbelianInvariants(A.rows - len(diag), [d for d in diag if d > 1])
+
+
 def quotient_invariants(K, B):
     """Invariants of (lattice spanned by columns of K) / (by columns of B).
 
@@ -598,6 +569,4 @@ def quotient_invariants(K, B):
     the lattice spanned by K; a column outside it raises ValueError, since the
     quotient would not be defined.
     """
-    C = smith_normal_form(K).coordinate_lattice(B)
-    diag = [d for d in _smith(C, False).diagonal() if d]
-    return AbelianInvariants(K.cols - len(diag), [d for d in diag if d > 1])
+    return cokernel_invariants(smith_normal_form(K).coordinate_lattice(B))

@@ -73,7 +73,7 @@ def test_criterion_01_projective_rank_formula():
     started = time.monotonic()
     spot = {2: 1, 4: 1, 10: 3}
     for n in EVEN:
-        free = cached_h1("psl2", n).invariants.free_rank
+        free = cached_h1("psl2", n).free_rank
         sigma = (-1) ** (n // 2 + 1)
         assert free == (n + 1 + 3 * sigma - 4 * eta(n)) // 6
         assert free == rank_psl2(n)
@@ -87,8 +87,8 @@ def test_criterion_01_projective_rank_formula():
 
 def test_criterion_02_determinant_one_agreement():
     for n in EVEN:
-        a = cached_h1("psl2", n).invariants
-        b = cached_h1("sl2", n).invariants
+        a = cached_h1("psl2", n)
+        b = cached_h1("sl2", n)
         assert a.free_rank == b.free_rank
         assert a.torsion == b.torsion
     print("criterion 2 pass: identical invariant factors for the "
@@ -97,11 +97,11 @@ def test_criterion_02_determinant_one_agreement():
 
 def test_criterion_03_odd_degrees_elementary_two_torsion():
     for n in ODD:
-        inv = cached_h1("sl2", n).invariants
+        inv = cached_h1("sl2", n)
         assert inv.free_rank == 0
         assert all(t == 2 for t in inv.torsion)
         assert len(inv.torsion) <= n + 1
-    assert cached_h1("sl2", 1).invariants.is_trivial()
+    assert cached_h1("sl2", 1).is_trivial()
     print("criterion 3 pass: odd degrees give elementary 2-groups, "
           "trivial at degree 1")
 
@@ -111,7 +111,7 @@ def test_criterion_04_swap_extended_rank_formula_both_routes():
     for n in EVEN:
         sigma = (-1) ** (n // 2 + 1)
         formula = (n - 5 + 3 * sigma - 4 * eta(n)) // 12
-        direct = cached_h1("gl2", n).invariants.free_rank
+        direct = cached_h1("gl2", n).free_rank
         assert direct == formula == rank_gl2(n)
         assert w_invariant_h1_rank(n) == formula
         if n in spot_zero:
@@ -134,7 +134,7 @@ def test_criterion_05_two_torsion_bound_and_distinct_classes():
         assert summed.values == total.values
         lat = beps_relation_lattice(n)
         assert all(x % 2 == 0 for row in lat.data for x in row)
-        inv = cached_h1("gl2", n).invariants
+        inv = cached_h1("gl2", n)
         assert inv.two_primary_valuation() >= m
     print("criterion 5 pass: 2-torsion order at least 2^m with the 2^m "
           "symmetric classes pairwise distinct")
@@ -188,7 +188,7 @@ def test_criterion_08_congruence_suite():
     lift = lift_to_sl2(basis)
     for n in (1, 2, 3):
         res = h1(lift.presentation, lift.assignment.rep(n))
-        assert res.invariants.free_rank == 2 * (n + 1)
+        assert res.free_rank == 2 * (n + 1)
     print("criterion 8 pass: torsion criterion on primes up to 200, "
           "coset and basis counts, lifted free ranks")
 

@@ -279,6 +279,28 @@ class TestWitness:
         assert checks_pass(payload)
         assert cert.exists()
 
+    @pytest.mark.parametrize("p", [11, 23, 47, 59, 71, 83, 107, 131])
+    def test_free_lift_certifies_the_unit_cocycle(self, capsys, tmp_path, p):
+        """The witness is the unit cocycle: X^n on the first basis
+        generator, 0 on the others.  Both overgroups, K x <eps> and sl2,
+        hold a central element acting by -1 on P_n at odd n, so by "center
+        kills" (Brown, Cohomology of Groups, III.8) their restriction images
+        in H^1 of the free subgroup are 2-torsion.  The unit class has
+        infinite order, so neither image holds it."""
+        for n in (1, 3, 5):
+            cert = tmp_path / ("lift-%d-%d.json" % (p, n))
+            code, payload = run_json(capsys, [
+                "witness", "--kind", "free-lift:%d" % p, "--n", str(n),
+                "--cert", str(cert)])
+            assert code == 0
+            assert payload["results"]["overgroups"] == ["K x <eps>", "sl2"]
+            assert checks_pass(payload)
+            values = json.loads(cert.read_text())["cocycle"]["values"]
+            k = 1 + (p + 1) // 6
+            assert values == [[1] + [0] * n] + [[0] * (n + 1)] * (k - 1)
+            code, report = run_json(capsys, ["verify-certificate", str(cert)])
+            assert code == 0 and checks_pass(report)
+
     def test_free_lift_needs_odd_degree(self, capsys, tmp_path):
         assert main(["witness", "--kind", "free-lift:11", "--n", "2",
                      "--cert", str(tmp_path / "x.json")]) == 2
@@ -382,6 +404,17 @@ class TestVerifyCertificate:
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
         assert main(["verify-certificate", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+    def test_non_object_fails_format(self, capsys, tmp_path, text):
+        # valid JSON that is not an object is a failed check, not a crash
+        bad = tmp_path / "array.json"
+        bad.write_text(text)
+        code, report = run_json(capsys, ["verify-certificate", str(bad)])
+        assert code == 1
+        assert report["checks"] == [{
+            "name": "format", "expected": "modh1-certificate-1",
+            "actual": "not a JSON object", "pass": False}]
 
     def test_wrong_format_tag_fails(self, capsys, tmp_path):
         bad = tmp_path / "tag.json"

@@ -21,7 +21,6 @@ from sympy.polys.matrices import DomainMatrix
 
 import modh1.cohomology as cohomology
 from modh1.cohomology import (
-    _coboundary_coordinates,
     _is_cocycle,
     CERT_MAX_COST,
     CERT_MAX_DEGREE,
@@ -102,38 +101,71 @@ def cyclic_h1(mat, order):
     return quotient_invariants(K, mat - IntMatrix.identity(d))
 
 
+def torsion_classes(pres, rep):
+    # (cocycle, d) over the diagonal entries d > 1 of the Smith form
+    # U B V = S of the coboundary matrix: B V[:, i] / d_i is column i of
+    # U^-1, whose class modulo B^1 has order d_i; these classes generate
+    # the torsion of Z^N / B^1, which is that of H^1, as Z^1 is saturated
+    B = coboundary_matrix(rep)
+    snf = smith_normal_form(B)
+    out = []
+    for i, d in enumerate(snf.diagonal()):
+        if d > 1:
+            col = B.mulvec(snf.V.column(i))
+            assert all(x % d == 0 for x in col)
+            out.append((Cocycle.from_stacked(pres, [x // d for x in col],
+                                             rep[0].rows), d))
+    return out
+
+
+def unit_complement(pres, rep):
+    # the unit cocycles, in order, that each raise the rank of B with the
+    # units taken before them; for a free group, whose Z^1 is all of Z^N,
+    # their classes are a basis of H^1 over the rationals
+    B = coboundary_matrix(rep)
+    cols, units = B.columns(), []
+    for j in range(B.rows):
+        e = [int(i == j) for i in range(B.rows)]
+        if rank(IntMatrix.from_columns(cols + [e])) > len(units) + rank(B):
+            cols.append(e)
+            units.append(Cocycle.from_stacked(pres, e, rep[0].rows))
+    return units
+
+
 class TestSmallGroupsByHand:
     def test_cyclic_two_swap_action(self):
         # <s | s^2> acting by the swap on Z^2: H^1 = 0
         pres = Presentation("c2", ["s"], [])
         pres = Presentation("c2", ["s"], [pres.parse_word("s s")])
         rep = [IntMatrix([[0, 1], [1, 0]])]
-        res = h1(pres, rep)
-        assert res.invariants.is_trivial()
+        assert h1(pres, rep).is_trivial()
 
     def test_cyclic_two_negation_action(self):
-        # <s | s^2> acting by -1 on Z^2: H^1 = (Z/2)^2
+        # <s | s^2> acting by -1 on Z^2: every vector is a cocycle and
+        # B^1 = 2 Z^2, so H^1 = (Z/2)^2, and each nonzero class mod 2 has
+        # order 2
         pres = Presentation("c2", ["s"], [])
         pres = Presentation("c2", ["s"], [pres.parse_word("s s")])
         rep = [IntMatrix([[-1, 0], [0, -1]])]
-        res = h1(pres, rep)
-        assert res.invariants.free_rank == 0
-        assert res.invariants.torsion == (2, 2)
-        # the torsion basis really has order 2
-        for c, order in res.torsion_basis:
-            assert order == 2
-            assert class_order(pres, rep, c) == 2
+        inv = h1(pres, rep)
+        assert inv.free_rank == 0
+        assert inv.torsion == (2, 2)
+        for v, order in (([1, 0], 2), ([0, 1], 2), ([1, 1], 2), ([3, -1], 2),
+                         ([2, 0], 1), ([2, -4], 1)):
+            assert class_order(pres, rep, Cocycle(pres, [v])) == order
 
     def test_free_rank_one_shear_action(self):
-        # free group on one letter, shear action: H^1 = Z^2 / im(shear - 1) = Z
+        # free group on one letter, shear action: B^1 = Z (1, 0), so
+        # H^1 = Z^2 / B^1 = Z, generated by the class of (0, 1)
         pres = Presentation("z", ["a"], [])
         rep = [IntMatrix([[1, 1], [0, 1]])]
-        res = h1(pres, rep)
-        assert res.invariants.free_rank == 1
-        assert res.invariants.torsion == ()
-        b = res.free_basis[0]
+        inv = h1(pres, rep)
+        assert inv.free_rank == 1
+        assert inv.torsion == ()
+        b = Cocycle(pres, [[0, 1]])
         assert class_order(pres, rep, b) is None
         assert solve_integer(coboundary_matrix(rep), b.stacked()) is None
+        assert class_order(pres, rep, Cocycle(pres, [[1, 0]])) == 1
 
 
 class TestModularGroupH1:
@@ -142,56 +174,53 @@ class TestModularGroupH1:
         # cocycle whose doubling is (rho - 1)(X^2 - XY + Y^2), giving an
         # order 2 class; the free product sequence then forces Z + Z/2.
         pres, assignment = builtin("psl2")
-        res = h1(pres, assignment.rep(2))
-        assert res.invariants.free_rank == 1
-        assert res.invariants.torsion == (2,)
+        inv = h1(pres, assignment.rep(2))
+        assert inv.free_rank == 1
+        assert inv.torsion == (2,)
         xy = Cocycle(pres, [[0, 1, 0], [0, 0, 0]])
         assert class_order(pres, assignment.rep(2), xy) == 2
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14])
     def test_rank_against_free_product_route(self, n):
         pres, assignment = builtin("psl2")
-        res = h1(pres, assignment.rep(n))
-        assert res.invariants.free_rank == free_product_h1_rank(n)
-        assert res.invariants.free_rank == rank_psl2(n)
+        inv = h1(pres, assignment.rep(n))
+        assert inv.free_rank == free_product_h1_rank(n)
+        assert inv.free_rank == rank_psl2(n)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14])
     def test_torsion_order_bounded_by_free_product_terms(self, n):
         pres, assignment = builtin("psl2")
-        res = h1(pres, assignment.rep(n))
+        inv = h1(pres, assignment.rep(n))
         S = rho_matrix(GEN_S, n)
         T = rho_matrix(GEN_T, n)
         span = hstack([fixed_sublattice(S), fixed_sublattice(T)])
         mid = quotient_invariants(IntMatrix.identity(n + 1), span)
         bound = prod(mid.torsion) * prod(cyclic_h1(S, 2).torsion) \
             * prod(cyclic_h1(T, 3).torsion)
-        assert bound % prod(res.invariants.torsion) == 0
+        assert bound % prod(inv.torsion) == 0
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_sl2_matches_psl2(self, n):
         p1, a1 = builtin("psl2")
         p2, a2 = builtin("sl2")
-        r1 = h1(p1, a1.rep(n))
-        r2 = h1(p2, a2.rep(n))
-        assert r1.invariants.free_rank == r2.invariants.free_rank
-        assert r1.invariants.torsion == r2.invariants.torsion
+        assert h1(p1, a1.rep(n)) == h1(p2, a2.rep(n))
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     def test_odd_degree_is_elementary_two_torsion(self, n):
         pres, assignment = builtin("sl2")
-        res = h1(pres, assignment.rep(n))
-        assert res.invariants.free_rank == 0
-        assert all(t == 2 for t in res.invariants.torsion)
-        assert len(res.invariants.torsion) <= n + 1
+        inv = h1(pres, assignment.rep(n))
+        assert inv.free_rank == 0
+        assert all(t == 2 for t in inv.torsion)
+        assert len(inv.torsion) <= n + 1
         if n == 1:
-            assert res.invariants.is_trivial()
+            assert inv.is_trivial()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_swap_extension_rank_three_ways(self, n):
         pres, assignment = builtin("gl2")
-        res = h1(pres, assignment.rep(n))
-        assert res.invariants.free_rank == rank_gl2(n)
-        assert res.invariants.free_rank == w_invariant_h1_rank(n)
+        inv = h1(pres, assignment.rep(n))
+        assert inv.free_rank == rank_gl2(n)
+        assert inv.free_rank == w_invariant_h1_rank(n)
 
     def test_swap_extension_first_positive_rank(self):
         assert rank_gl2(10) == 1
@@ -200,13 +229,15 @@ class TestModularGroupH1:
             == [n for n in range(2, 41, 2) if w_invariant_h1_rank(n)]
 
     def test_basis_cocycles_have_claimed_orders(self):
+        # the torsion classes read off the Smith form of B, and a cocycle
+        # of the free class b_1, have the orders class_order finds
         pres, assignment = builtin("sl2")
         rep = assignment.rep(6)
-        res = h1(pres, rep)
-        for c in res.free_basis:
-            assert class_order(pres, rep, c) is None
-        for c, order in res.torsion_basis:
+        classes = torsion_classes(pres, rep)
+        assert [d for _, d in classes] == list(h1(pres, rep).torsion)
+        for c, order in classes:
             assert class_order(pres, rep, c) == order
+        assert class_order(pres, rep, make_ba(6, 1)) is None
 
 
 # Projective presentations act only in even degree.
@@ -224,50 +255,35 @@ class TestInvariantRoutes:
     def test_invariants_and_torsion_generators(self, group, n):
         pres, assignment = builtin(group)
         rep = assignment.rep(n)
-        res = h1(pres, rep)
+        inv = h1(pres, rep)
         B = coboundary_matrix(rep)
         R = relator_condition_matrix(pres, rep)
-        assert res.invariants == quotient_invariants(cocycle_basis(pres, rep), B)
+        assert inv == quotient_invariants(cocycle_basis(pres, rep), B)
         factors = [int(f) for f in invariant_factors(SymMatrix(B.data)) if f]
         rank_r = DomainMatrix.from_list(R.data, ZZ).convert_to(QQ).rank()
         free = B.rows - rank_r - len(factors)
-        assert res.invariants == AbelianInvariants(
-            free, [f for f in factors if f > 1])
-        assert [order for _, order in res.torsion_basis] \
-            == list(res.invariants.torsion)
-        for c, order in res.torsion_basis:
+        assert inv == AbelianInvariants(free, [f for f in factors if f > 1])
+        classes = torsion_classes(pres, rep)
+        assert [order for _, order in classes] == list(inv.torsion)
+        for c, order in classes:
             assert R.mulvec(c.stacked()) == [0] * R.rows
             assert class_order(pres, rep, c) == order
 
     def test_free_basis_of_free_group(self):
         pres, assignment = builtin("free:2")
         rep = assignment.rep(2)
-        res = h1(pres, rep)
-        assert len(res.free_basis) == res.invariants.free_rank == 3
-        for c in res.free_basis:
+        units = unit_complement(pres, rep)
+        assert h1(pres, rep).free_rank == len(units) == 3
+        for c in units:
             assert class_order(pres, rep, c) is None
 
     def test_free_basis_of_congruence_lift(self):
         lift = lift_to_sl2(schreier_free_basis(11))
         rep = lift.assignment.rep(1)
-        res = h1(lift.presentation, rep)
-        assert len(res.free_basis) == res.invariants.free_rank == 4
-        for c in res.free_basis:
+        units = unit_complement(lift.presentation, rep)
+        assert h1(lift.presentation, rep).free_rank == len(units) == 4
+        for c in units:
             assert class_order(lift.presentation, rep, c) is None
-
-    @pytest.mark.parametrize("group,n", [("sl2", 1), ("gl2", 2), ("psl2", 6),
-                                         ("gl2", 9), ("free:3", 2)])
-    def test_free_basis_is_one_product(self, group, n):
-        # K times the free complement, against one K.mulvec per class; an
-        # empty complement gives no classes
-        pres, assignment = builtin(group)
-        rep = assignment.rep(n)
-        res = h1(pres, rep)
-        K, _, coords = _coboundary_coordinates(pres, rep)
-        expected = [Cocycle.from_stacked(pres, K.mulvec(c), n + 1)
-                    for c in coords.free_complement()]
-        assert res.free_basis == expected
-        assert len(expected) == res.invariants.free_rank
 
 
 class TestDimensionFormulas:
@@ -378,8 +394,8 @@ class TestExplicitCocycles:
         # distinct 0/1 classes force the 2-part of the torsion to 2^m at
         # least; the count of even factors alone drops below m from n = 10
         pres, assignment = builtin("gl2")
-        res = h1(pres, assignment.rep(n))
-        assert res.invariants.two_primary_valuation() >= beps_count(n)
+        inv = h1(pres, assignment.rep(n))
+        assert inv.two_primary_valuation() >= beps_count(n)
 
     def test_beps_linear_in_eps(self):
         a = make_beps(6, [1, 0])
@@ -588,8 +604,8 @@ class TestCheapestFirst:
     @pytest.fixture(scope="class")
     def lift_payload(self):
         lift = lift_to_sl2(schreier_free_basis(11))
-        res = h1(lift.presentation, lift.assignment.rep(1))
-        b = res.free_basis[0]
+        # the cocycle `witness --kind free-lift:11 --n 1` certifies
+        b = Cocycle.from_stacked(lift.presentation, [1, 0, 0, 0, 0, 0], 2)
         cert = certify_nonextendable(lift.presentation, lift.assignment, 1, b,
                                      lift.overgroups)
         assert all(c["pass"] for c in cert.verify())

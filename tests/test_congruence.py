@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, h1, \
+from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, Cocycle, h1, \
     certify_nonextendable
 from modh1.congruence import (
     CosetTable,
@@ -389,13 +389,14 @@ class TestLift:
         lift = lift_to_sl2(schreier_free_basis(11))
         k = len(lift.presentation.generators)
         for n in (1, 2, 3):
-            res = h1(lift.presentation, lift.assignment.rep(n))
-            assert res.invariants.free_rank == (k - 1) * (n + 1)
+            inv = h1(lift.presentation, lift.assignment.rep(n))
+            assert inv.free_rank == (k - 1) * (n + 1)
 
     def test_nonextendable_certificate(self):
         lift = lift_to_sl2(schreier_free_basis(11))
-        res = h1(lift.presentation, lift.assignment.rep(1))
-        cocycle = res.free_basis[0]
+        # the unit cocycle: X on the first generator, 0 on the others
+        cocycle = Cocycle.from_stacked(lift.presentation, [1, 0, 0, 0, 0, 0],
+                                       2)
         cert = certify_nonextendable(lift.presentation, lift.assignment, 1,
                                      cocycle, lift.overgroups)
         checks = Certificate.from_json(cert.to_json()).verify()

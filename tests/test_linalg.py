@@ -11,7 +11,7 @@ from modh1.linalg import (
     AffineMap,
     IntMatrix,
     _smith,
-    cokernel_torsion,
+    cokernel_invariants,
     hstack,
     invert_unimodular,
     kernel_basis,
@@ -430,16 +430,19 @@ class TestNormalFormProperties:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(a=int_matrices())
     def test_lattice_readings(self, a):
-        # U is inverted exactly, each torsion generator has exactly its
-        # stated order modulo the column lattice, and the free complement
-        # together with the lattice spans a sublattice of full rank
+        # U is inverted exactly, and the columns of U^-1 are a Smith basis
+        # of Z^rows: A V[:, i] is d_i times column i, which has order d_i
+        # modulo the lattice, and the columns past the rank have infinite
+        # order and complete the lattice to a sublattice of full rank
         lattice = smith_normal_form(a)
         u_inv = invert_unimodular(lattice.U)
         assert u_inv * lattice.U == IntMatrix.identity(a.rows)
-        for vec, d in lattice.torsion_generators():
-            assert lattice.order(vec) == d
-        free = lattice.free_complement()
-        assert len(free) == a.rows - rank(a)
+        r = lattice.rank()
+        for i, d in enumerate(lattice.diagonal()[:r]):
+            col = u_inv.column(i)
+            assert a.mulvec(lattice.V.column(i)) == [d * x for x in col]
+            assert lattice.order(col) == d
+        free = [u_inv.column(i) for i in range(r, a.rows)]
         assert all(lattice.order(v) is None for v in free)
         stacked = hstack([a, IntMatrix.from_columns(free, rows=a.rows)])
         assert rank(stacked) == a.rows
@@ -469,17 +472,20 @@ def deficient_matrices(draw):
 
 
 class TestSmithWithoutU:
-    """kernel_basis and cokernel_torsion reduce A's bare rows; the full
-    Smith form reduces [A | I].  Both must give the same diagonal and V."""
+    """kernel_basis and cokernel_invariants reduce A's bare rows, the full
+    Smith form the rows of [A | I].  The Smith form behind
+    cokernel_invariants carries no transform and must give the same
+    diagonal; kernel_basis must give the full form's V past the rank."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(a=st.one_of(int_matrices(), deficient_matrices()))
     def test_same_diagonal_and_v(self, a):
         bare, full = _smith(a, False), smith_normal_form(a)
-        assert bare.U is None
+        assert bare.U is None and bare.V is None
         assert bare.diagonal() == full.diagonal()
-        assert bare.V == full.V
-        assert cokernel_torsion(a) == (full.rank(), full.torsion_generators())
+        diag = full.diagonal()
+        assert cokernel_invariants(a) == AbelianInvariants(
+            a.rows - full.rank(), [d for d in diag if d > 1])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(a=st.one_of(int_matrices(), deficient_matrices()))
@@ -501,4 +507,4 @@ class TestSmithWithoutU:
             a = IntMatrix.zeros(rows, cols)
             assert smith_normal_form(a).U == IntMatrix.identity(rows)
             assert kernel_basis(a) == IntMatrix.identity(cols)
-            assert cokernel_torsion(a) == (0, [])
+            assert cokernel_invariants(a) == AbelianInvariants(rows)
