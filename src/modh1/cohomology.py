@@ -44,6 +44,7 @@ from .presentations import (
     MatrixAssignment,
     Presentation,
     Word,
+    _check_relators,
     builtin,
     evaluate_word,
     relator_condition_matrix,
@@ -125,16 +126,10 @@ def h1(presentation, rep):
     return AbelianInvariants(inv.free_rank - rank(R), inv.torsion)
 
 
-def _is_cocycle(presentation, assignment, rep, cocycle):
-    # Whether the cocycle vanishes on every relator.  rep is the assignment's
-    # rho_n, a homomorphism, so rho_n(rel) is rho_n of rel's 2x2 value.
-    n = rep[0].rows - 1
-    eye = IntMatrix.identity(n + 1)
-    for rel in presentation.relators:
-        value = evaluate_word(rel, assignment.matrices)
-        if not value.is_identity() and rho_matrix(value, n) != eye:
-            raise ValueError("representation does not satisfy relator %s"
-                             % rel.format(presentation.generators))
+def _is_cocycle(presentation, rep, cocycle):
+    # Whether the cocycle vanishes on every relator; ValueError when rho_n
+    # does not kill one.
+    _check_relators(presentation, rep)
     b = IntMatrix.from_columns([cocycle.stacked()])
     return all(X.is_zero()
                for X in transport_blocks(presentation.relators, rep, b))
@@ -163,23 +158,17 @@ def restrict(cocycle, words, sub_presentation, ambient_rep):
 
     words[i] spells the i-th subgroup generator in the ambient generators.
     The restricted cocycle's value on a subgroup generator is the transported
-    value of the ambient cocycle on the corresponding word.  Each subgroup
-    relator, spelled in the ambient generators, must then act trivially
-    (carry each coboundary to zero) and carry the cocycle to zero.
+    value of the ambient cocycle on the corresponding word.  The subgroup
+    acts through rho_n of the words' 2x2 values, which must kill each
+    subgroup relator (else ValueError), and the result must be a cocycle.
     """
     b = IntMatrix.from_columns([cocycle.stacked()])
-    rels = sub_presentation.relators
     out = Cocycle(sub_presentation, [
         X.column(0) for X in transport_blocks(words, ambient_rep, b)])
-    spelled = [Word(x for g, s in rel.letters for x in (
-        words[g] if s == 1 else words[g].inverse()).letters) for rel in rels]
-    values = transport_blocks(spelled, ambient_rep,
-                              hstack([b, coboundary_matrix(ambient_rep)]))
-    for rel, X in zip(rels, values):
-        if any(any(row[1:]) for row in X.data):
-            raise ValueError("representation does not satisfy relator %s"
-                             % rel.format(sub_presentation.generators))
-    if any(row[0] for X in values for row in X.data):
+    ambient = ambient_rep.assignment.matrices
+    sub_rep = MatrixAssignment(
+        [evaluate_word(w, ambient) for w in words]).rep(ambient_rep.n)
+    if not _is_cocycle(sub_presentation, sub_rep, out):
         raise RuntimeError("restriction produced a non-cocycle")
     return out
 
@@ -268,7 +257,7 @@ def _claim(kind, presentation, assignment, n, cocycle, overgroups=()):
     # rho_n and the shared payload fields, once budget and cocycle check out
     check_cost(check_degree(n), certificate_letters(presentation, overgroups))
     rep = assignment.rep(n)
-    if not _is_cocycle(presentation, assignment, rep, cocycle):
+    if not _is_cocycle(presentation, rep, cocycle):
         raise ValueError("not a cocycle")
     return rep, {"format": CERTIFICATE_FORMAT, "kind": kind, "degree": n,
                  "subgroup": _presentation_payload(presentation, assignment),
@@ -285,9 +274,11 @@ CERT_MAX_DEGREE = 120
 
 # Each letter of a relator or embedding word costs one product of an
 # (n + 1)-square matrix with a block of n + 1 rows: a Fox Jacobian prefix,
-# or the restricted Z^1 basis.  The budget on letters times (n + 1)^3 is
-# that of `witness --kind ba:120,1`, the costliest certificate the CLI
-# writes: 30 letters (sl2 and gl2 relators, embedding words s, t).
+# or the restricted Z^1 basis; a generator used inverted adds one
+# rho_matrix of its 2x2 inverse, about (n + 1)^3 / 6 entry products.  The
+# budget on letters times (n + 1)^3 is that of `witness --kind ba:120,1`,
+# the costliest certificate the CLI writes: 30 letters (sl2 and gl2
+# relators, embedding words s, t).
 CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
 
@@ -411,8 +402,7 @@ class Certificate:
             return
         sub_rep = sub_assign.rep(n)
         b = Cocycle(sub_pres, p["cocycle"]["values"])
-        check("cocycle condition",
-              _is_cocycle(sub_pres, sub_assign, sub_rep, b))
+        check("cocycle condition", _is_cocycle(sub_pres, sub_rep, b))
         B_sub = coboundary_matrix(sub_rep)
         if kind == "noncoboundary":
             self._verify_refutation(check, "coboundary refutation",
@@ -470,7 +460,7 @@ def make_ba(n, a):
     v[0] = a
     v[n] = -a
     b = Cocycle(pres, [v, [0] * (n + 1)])
-    if not _is_cocycle(pres, assignment, assignment.rep(n), b):
+    if not _is_cocycle(pres, assignment.rep(n), b):
         raise RuntimeError("constructed values violate the cocycle condition")
     return b
 
@@ -486,6 +476,15 @@ def make_beps(n, eps):
     2-primary torsion comes from; the individual class orders vary and are
     infinite once the free rank is positive.
     """
+    pres, assignment = builtin("gl2")
+    b = Cocycle.from_stacked(pres, _beps_column(n, eps), n + 1)
+    if not _is_cocycle(pres, assignment.rep(n), b):
+        raise RuntimeError("constructed values violate the cocycle condition")
+    return b
+
+
+def _beps_column(n, eps):
+    # make_beps's generator values, stacked: v on s, zero on t and w
     if n < 2 or n % 2:
         raise ValueError("even n >= 2 required")
     m = beps_count(n)
@@ -499,12 +498,7 @@ def make_beps(n, eps):
         v[n - 2 * k + 1] += eps[k - 1]
     if pairs < m:
         v[n // 2] += eps[m - 1]
-    pres, assignment = builtin("gl2")
-    zero = [0] * (n + 1)
-    b = Cocycle(pres, [v, zero, zero])
-    if not _is_cocycle(pres, assignment, assignment.rep(n), b):
-        raise RuntimeError("constructed values violate the cocycle condition")
-    return b
+    return v + [0] * (2 * n + 2)
 
 
 def beps_relation_lattice(n):
@@ -518,12 +512,11 @@ def beps_relation_lattice(n):
     m = beps_count(n)
     pres, assignment = builtin("gl2")
     rep = assignment.rep(n)
-    units = []
-    for k in range(m):
-        e = [0] * m
-        e[k] = 1
-        units.append(make_beps(n, e).stacked())
-    E = IntMatrix.from_columns(units, rows=len(pres.generators) * (n + 1))
+    E = IntMatrix.from_columns(
+        [_beps_column(n, [int(j == k) for j in range(m)]) for k in range(m)],
+        rows=3 * (n + 1))
+    if not all(X.is_zero() for X in transport_blocks(pres.relators, rep, E)):
+        raise RuntimeError("constructed values violate the cocycle condition")
     ker = kernel_basis(hstack([E, coboundary_matrix(rep)]))
     return IntMatrix([ker.data[i] for i in range(m)], cols=ker.cols)
 

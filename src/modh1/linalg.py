@@ -10,7 +10,7 @@ smith_normal_form(A), its one constructor, returns a SmithLattice: U, V
 and the diagonal of S (S itself is never built), through which it reads
 the lattice spanned by the columns of A.
 
-Smith, rank and invert_unimodular rest on one in-place row echelon routine.
+Smith, rank and kernel_basis rest on one in-place row echelon routine.
 Transforms ride along as appended columns: reducing the rows of [A | I]
 leaves U in the right-hand block, and the Smith form alternates passes on
 [S | U] and [S^T | V^T].  Each pass leaves positive pivots in its leading
@@ -18,7 +18,8 @@ rows, so the nonzero entries of the final diagonal are already a positive
 prefix.  rank reduces the bare rows and carries no transform, and so does
 the Smith form behind cokernel_invariants, which reads only the diagonal:
 it starts from A's bare rows and carries neither U nor V.  kernel_basis
-stops after its first two passes.  No Smith transform is ever inverted.
+stops after its first two passes.  No matrix is ever inverted here: the
+one inverse the package needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -304,13 +305,6 @@ class SmithLattice:
         return IntMatrix.from_columns(coords, rows=self.A.cols)
 
 
-def _augment(A):
-    # The rows of [A | I].
-    m = A.rows
-    return [row + [int(i == k) for k in range(m)]
-            for i, row in enumerate(A.data)]
-
-
 def _is_diagonal(rows, n):
     return all(not x or i == j
                for i, row in enumerate(rows) for j, x in enumerate(row[:n]))
@@ -393,7 +387,8 @@ def _smith(A, transforms):
     with exact 2x2 gcd/lcm transforms.
     """
     m, n = A.rows, A.cols
-    su = _augment(A) if transforms else [list(row) for row in A.data]
+    su = [row + [int(i == k) for k in range(m)] if transforms else list(row)
+          for i, row in enumerate(A.data)]
     vt = IntMatrix.identity(n).data if transforms else [[] for _ in range(n)]
     for _ in range(4 + 2 * max(m, n)):
         _echelon(su, n)
@@ -487,18 +482,6 @@ def kernel_basis(A):
 def solve_integer(A, b):
     """One integer solution x of A*x = b, or None when none exists."""
     return smith_normal_form(A).coords(b)
-
-
-def invert_unimodular(M):
-    """Exact inverse of a unimodular integer matrix (ValueError otherwise)."""
-    if M.rows != M.cols:
-        raise ValueError("not square")
-    n = M.rows
-    rows = _augment(M)
-    _echelon(rows, n)
-    if [row[:n] for row in rows] != IntMatrix.identity(n).data:
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix._of([row[n:] for row in rows], n)
 
 
 class AbelianInvariants:

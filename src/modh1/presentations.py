@@ -13,11 +13,15 @@ which transport_blocks walks right to left for a block of cocycles at
 once.  Collected by generator, the terms of b(w) give the Fox Jacobian,
 blocks J_g with b(w) = sum_g J_g b(g); stacked over the relators, they form
 the relator condition matrix, whose integer kernel is the cocycle lattice.
+
+A Rep keeps its MatrixAssignment, and rho_n is a homomorphism, so rho(x)^-1
+and rho of a relator are rho_matrix of 2x2 values: no (n + 1)-square matrix
+is inverted, and one check, _check_relators, reads relators on 2x2 values.
 """
 
 from __future__ import annotations
 
-from .linalg import AffineMap, IntMatrix, hstack, invert_unimodular, vstack
+from .linalg import AffineMap, IntMatrix, hstack, vstack
 from .polyrep import GEN_S, GEN_T, GEN_W, Mat2, rho_matrix
 
 
@@ -121,8 +125,19 @@ class MatrixAssignment:
                                  % rel.format(presentation.generators))
 
     def rep(self, n):
-        """Degree-n representation matrices for the generators."""
-        return [rho_matrix(m, n) for m in self.matrices]
+        """The degree-n representation: rho_n of each generator."""
+        return Rep(self, n)
+
+
+class Rep(list):
+    """rho_n(g) for each generator g, kept beside the assignment and n."""
+
+    __slots__ = ("assignment", "n")
+
+    def __init__(self, assignment, n):
+        super().__init__(rho_matrix(m, n) for m in assignment.matrices)
+        self.assignment = assignment
+        self.n = n
 
 
 class Overgroup:
@@ -193,16 +208,16 @@ def builtin(name):
 
 
 def fox_jacobian(words, rep):
-    """The Fox Jacobian of each word, evaluated in rep, with the word's value.
+    """The Fox Jacobian of each word, evaluated in rep.
 
-    Returns one pair (blocks, value) per word: value is rho(w), and blocks
-    maps each generator g that occurs in w to the matrix J_g with
-    b(w) = sum_g J_g b(g) for every cocycle b.  Each word is walked once,
-    and only generators that occur inverted are inverted.
+    Returns one dict per word, mapping each generator g that occurs in w
+    to the matrix J_g with b(w) = sum_g J_g b(g) for every cocycle b.
+    Each word is walked once, and rho_n(x^-1) is built once, from x's 2x2
+    inverse, for each generator x that occurs inverted.
     """
-    inverses = {g: invert_unimodular(rep[g])
+    inverses = {g: rho_matrix(rep.assignment.matrices[g].inv(), rep.n)
                 for g in {g for w in words for g, s in w.letters if s == -1}}
-    eye = IntMatrix.identity(rep[0].rows)
+    eye = IntMatrix.identity(rep.n + 1)
     out = []
     for word in words:
         blocks = {}
@@ -215,26 +230,27 @@ def fox_jacobian(words, rep):
             term = acc if s == 1 else -nxt
             blocks[g] = blocks[g] + term if g in blocks else term
             acc = nxt
-        out.append((blocks, acc))
+        out.append(blocks)
     return out
 
 
 def transport_blocks(words, rep, Z):
     """Values on each word of the cocycles in the columns of Z.
 
-    Z stacks d = rep[0].rows rows of values per generator; the result has
-    one d-row block X(w) per word.  Walking right to left, a letter acts by
+    Z stacks d = n + 1 rows of values per generator; the result has one
+    d-row block X(w) per word.  Walking right to left, a letter acts by
     X -> M X + C: M, C = rho(x), Z_x for x and rho(x)^-1, -rho(x)^-1 Z_x
-    for x^-1, one sparse product.  Each inverse is taken once.
+    for x^-1, one sparse product.  rho(x)^-1 is rho_matrix of x's 2x2
+    inverse, built once for each generator that occurs inverted.
     """
-    d = rep[0].rows
+    d = rep.n + 1
     if Z.rows != len(rep) * d:
         raise ValueError("generator values need %d rows" % (len(rep) * d))
     steps = {}
     for g, s in {letter for w in words for letter in w.letters}:
         M, C = rep[g], IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
         if s == -1:
-            M = invert_unimodular(M)
+            M = rho_matrix(rep.assignment.matrices[g].inv(), rep.n)
             C = -(M * C)
         steps[g, s] = AffineMap(M, C)
     out = []
@@ -252,6 +268,17 @@ def cocycle_transport(word, rep, values):
     return transport_blocks([word], rep, Z)[0].column(0)
 
 
+def _check_relators(presentation, rep):
+    # ValueError unless rho_n kills each relator: rho_matrix of its 2x2
+    # value, built only when that value is not the identity
+    eye = IntMatrix.identity(rep.n + 1)
+    for rel in presentation.relators:
+        value = evaluate_word(rel, rep.assignment.matrices)
+        if not value.is_identity() and rho_matrix(value, rep.n) != eye:
+            raise ValueError("representation does not satisfy relator %s"
+                             % rel.format(presentation.generators))
+
+
 def relator_condition_matrix(presentation, rep):
     """The linear conditions a cocycle's generator values must satisfy.
 
@@ -262,15 +289,11 @@ def relator_condition_matrix(presentation, rep):
     Raises ValueError when the representation does not kill some relator,
     e.g. for an odd degree action through a projective presentation.
     """
+    _check_relators(presentation, rep)
     k = len(presentation.generators)
-    d = rep[0].rows
+    d = rep.n + 1
     zero = IntMatrix.zeros(d, d)
     rows = [IntMatrix([], cols=k * d)]
-    jacobians = fox_jacobian(presentation.relators, rep)
-    for rel, (blocks, value) in zip(presentation.relators, jacobians):
-        if value != IntMatrix.identity(d):
-            raise ValueError(
-                "representation does not satisfy relator %s"
-                % rel.format(presentation.generators))
+    for blocks in fox_jacobian(presentation.relators, rep):
         rows.append(hstack([blocks.get(g, zero) for g in range(k)]))
     return vstack(rows)

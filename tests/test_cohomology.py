@@ -9,6 +9,7 @@ finite.  That route never touches the presentation machinery.
 """
 
 import json
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -63,13 +64,15 @@ from modh1.linalg import (
     solve_integer,
     vstack,
 )
-from modh1.polyrep import GEN_S, GEN_T, GEN_W, rho_matrix
+from modh1.polyrep import GEN_EPS, GEN_S, GEN_T, GEN_W, Mat2, rho_matrix
 from modh1.presentations import (
+    MatrixAssignment,
     Overgroup,
     Presentation,
     Word,
     builtin,
     cocycle_transport,
+    evaluate_word,
     fox_jacobian,
     relator_condition_matrix,
 )
@@ -137,7 +140,7 @@ class TestSmallGroupsByHand:
         # <s | s^2> acting by the swap on Z^2: H^1 = 0
         pres = Presentation("c2", ["s"], [])
         pres = Presentation("c2", ["s"], [pres.parse_word("s s")])
-        rep = [IntMatrix([[0, 1], [1, 0]])]
+        rep = MatrixAssignment([GEN_W]).rep(1)
         assert h1(pres, rep).is_trivial()
 
     def test_cyclic_two_negation_action(self):
@@ -146,7 +149,7 @@ class TestSmallGroupsByHand:
         # order 2
         pres = Presentation("c2", ["s"], [])
         pres = Presentation("c2", ["s"], [pres.parse_word("s s")])
-        rep = [IntMatrix([[-1, 0], [0, -1]])]
+        rep = MatrixAssignment([GEN_EPS]).rep(1)
         inv = h1(pres, rep)
         assert inv.free_rank == 0
         assert inv.torsion == (2, 2)
@@ -158,7 +161,7 @@ class TestSmallGroupsByHand:
         # free group on one letter, shear action: B^1 = Z (1, 0), so
         # H^1 = Z^2 / B^1 = Z, generated by the class of (0, 1)
         pres = Presentation("z", ["a"], [])
-        rep = [IntMatrix([[1, 1], [0, 1]])]
+        rep = MatrixAssignment([Mat2(1, 1, 0, 1)]).rep(1)
         inv = h1(pres, rep)
         assert inv.free_rank == 1
         assert inv.torsion == ()
@@ -438,7 +441,7 @@ def _restricted(jacobian, Z, d):
     # The Fox-Jacobian route the block walk replaced: row block i is the
     # sum over g of J_g(w_i) times row block g of Z.
     rows = []
-    for blocks, _ in jacobian:
+    for blocks in jacobian:
         part = IntMatrix.zeros(d, Z.cols)
         for g, J in blocks.items():
             part = part + J * IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
@@ -446,19 +449,46 @@ def _restricted(jacobian, Z, d):
     return IntMatrix(rows, cols=Z.cols)
 
 
+def exact_inverse(m):
+    # sympy's exact inverse, independent of the 2x2 route the library takes
+    return IntMatrix(_sympy_inverse(tuple(map(tuple, m.data))))
+
+
+@lru_cache(maxsize=None)
+def _sympy_inverse(rows):
+    inv = SymMatrix(rows).inv()
+    return [[int(inv[i, j]) for j in range(len(rows))]
+            for i in range(len(rows))]
+
+
+def rho_of(word, rep):
+    # rho(word) multiplied out letter by letter, with sympy's inverses
+    out = IntMatrix.identity(rep.n + 1)
+    for g, s in word.letters:
+        out = out * (rep[g] if s == 1 else exact_inverse(rep[g]))
+    return out
+
+
 def reference_restrict(cocycle, words, sub_presentation, ambient_rep):
     # restrict through the Fox Jacobians, checked with the subgroup's
-    # relator condition matrix on rho of the embedding words
-    d = ambient_rep[0].rows
-    jacobian = fox_jacobian(words, ambient_rep)
+    # relator condition matrix on rho of the embedding words; the relators
+    # spelled in the ambient generators are multiplied out d x d
+    d = ambient_rep.n + 1
     Z = IntMatrix.from_columns([cocycle.stacked()])
-    out = Cocycle.from_stacked(sub_presentation,
-                               _restricted(jacobian, Z, d).column(0), d)
-    if sub_presentation.relators:
-        R = relator_condition_matrix(sub_presentation,
-                                     [value for _, value in jacobian])
-        if any(R.mulvec(out.stacked())):
-            raise RuntimeError("restriction produced a non-cocycle")
+    out = Cocycle.from_stacked(sub_presentation, _restricted(
+        fox_jacobian(words, ambient_rep), Z, d).column(0), d)
+    for rel in sub_presentation.relators:
+        spelled = Word(x for g, s in rel.letters for x in (
+            words[g] if s == 1 else words[g].inverse()).letters)
+        if rho_of(spelled, ambient_rep) != IntMatrix.identity(d):
+            raise ValueError("representation does not satisfy relator")
+    ambient = ambient_rep.assignment.matrices
+    sub_rep = MatrixAssignment(
+        [evaluate_word(w, ambient) for w in words]).rep(ambient_rep.n)
+    assert list(sub_rep) == [rho_of(w, ambient_rep) for w in words]
+    R = relator_condition_matrix(sub_presentation, sub_rep)
+    if any(R.mulvec(out.stacked())):
+        raise RuntimeError("restriction produced a non-cocycle")
     return out
 
 
@@ -470,20 +500,13 @@ def outcome(f, *args):
 
 
 @st.composite
-def unimodular(draw, d):
-    # a product of up to five elementary, sign and swap matrices
-    m = IntMatrix.identity(d)
+def gl2_elements(draw):
+    # a product of up to five shears, swaps and sign changes in GL_2(Z)
+    m = Mat2.identity()
     for _ in range(draw(st.integers(0, 5))):
-        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
-        e = IntMatrix.identity(d).data
-        if i == j:
-            e[i][i] = -1
-        elif draw(st.booleans()):
-            e[i][j] = draw(st.integers(-3, 3))
-        else:
-            e[i][i] = e[j][j] = 0
-            e[i][j] = e[j][i] = 1
-        m = m * IntMatrix(e)
+        k = draw(st.integers(-3, 3))
+        m = m * draw(st.sampled_from((Mat2(1, k, 0, 1), Mat2(1, 0, k, 1),
+                                      GEN_W, Mat2(-1, 0, 0, 1))))
     return m
 
 
@@ -505,7 +528,8 @@ class TestTransportWalk:
     @given(data=st.data())
     def test_matches_fox_route_on_random_reps(self, data):
         k, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
-        rep = [data.draw(unimodular(d)) for _ in range(k)]
+        rep = MatrixAssignment(
+            [data.draw(gl2_elements()) for _ in range(k)]).rep(d - 1)
         pres = Presentation("free", ["g%d" % i for i in range(k)], ())
         words = data.draw(words_over(k))
         assert restriction_image_matrix(pres, rep, words) == _restricted(
@@ -533,7 +557,7 @@ class TestTransportWalk:
         except ValueError:
             # projective groups at odd degree
             with pytest.raises(ValueError):
-                _is_cocycle(pres, assign, rep, Cocycle(pres, values))
+                _is_cocycle(pres, rep, Cocycle(pres, values))
             return
         K = cocycle_basis(pres, rep)
         if data.draw(st.booleans()) and K.cols:
@@ -542,7 +566,7 @@ class TestTransportWalk:
             b = Cocycle.from_stacked(pres, K.mulvec(c), n + 1)
         else:
             b = Cocycle(pres, values)
-        assert _is_cocycle(pres, assign, rep, b) == (
+        assert _is_cocycle(pres, rep, b) == (
             not any(R.mulvec(b.stacked())))
         # restrict to the group itself along conjugated generators, where
         # the relators hold, or along random words, where they need not
@@ -563,7 +587,7 @@ class TestTransportWalk:
             rep = assign.rep(n)
             b = Cocycle(pres, [[0] * (n + 1)] * len(pres.generators))
             with pytest.raises(ValueError, match="does not satisfy relator"):
-                _is_cocycle(pres, assign, rep, b)
+                _is_cocycle(pres, rep, b)
 
     def test_value_length_checked(self):
         # as the relator matrix's mulvec did, also with no relators
@@ -571,7 +595,7 @@ class TestTransportWalk:
             pres, assign = builtin(name)
             b = Cocycle(pres, [[1, 2, 3, 4]] * len(pres.generators))
             with pytest.raises(ValueError):
-                _is_cocycle(pres, assign, assign.rep(2), b)
+                _is_cocycle(pres, assign.rep(2), b)
 
 
 # The report written, before the refutation checks were ordered cheapest

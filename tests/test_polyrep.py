@@ -2,6 +2,7 @@ import random
 
 import sympy
 
+from modh1.congruence import lift_to_sl2, schreier_free_basis
 from modh1.linalg import IntMatrix
 from modh1.polyrep import (
     GEN_EPS,
@@ -68,6 +69,15 @@ def test_rho_is_a_homomorphism():
         n = rng.randint(0, 8)
         assert rho_matrix(A * B, n) == rho_matrix(A, n) * rho_matrix(B, n)
         assert rho_matrix(Mat2.identity(), n) == IntMatrix.identity(n + 1)
+        assert rho_matrix(A.inv(), n) * rho_matrix(A, n) == \
+            IntMatrix.identity(n + 1)
+    # rho_n of the 2x2 inverse inverts rho_n: W has determinant -1, and the
+    # lifted basis of gamma0bar:23 has entries up to two digits
+    lifted = lift_to_sl2(schreier_free_basis(23)).assignment.matrices
+    for A in (GEN_W, GEN_EPS) + lifted:
+        for n in (1, 4, 9):
+            assert rho_matrix(A.inv(), n) * rho_matrix(A, n) == \
+                IntMatrix.identity(n + 1)
 
 
 def test_generator_actions_on_monomials():

@@ -196,12 +196,3 @@ def test_defaults_are_passed():
                 unpassed.append("%s:%s(%s)" % (module, dotted, name))
     assert unpassed == []
 
-
-def test_no_smith_transform_is_inverted():
-    # invert_unimodular is called only where presentations inverts rho_n of
-    # generators used inverted; Smith transforms are read, never inverted
-    callers = {name for name, tree in module_trees() for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and "invert_unimodular" in (getattr(node.func, "id", None),
-                                           getattr(node.func, "attr", None))}
-    assert callers == {"presentations.py"}
