@@ -28,6 +28,7 @@ from .linalg import (
     kernel_basis,
     quotient_invariants,
     rank,
+    row_echelon,
     smith_normal_form,
     solve_integer,
     vstack,
@@ -116,14 +117,17 @@ def h1(presentation, rep):
     """The AbelianInvariants of H^1 of the presented group acting through rep.
 
     Z^1 is saturated and holds B^1, so the torsion of H^1 is that of
-    Z^N / B^1, and its free rank is that of Z^N / B^1 less rank R.
+    Z^N / B^1, and its free rank is that of Z^N / B^1 less rank R.  One
+    forward echelon E of R gives both rank R, its row count, and the
+    check R*B = 0: E is the nonzero rows of U*R with U unimodular, so
+    E*B = 0 exactly when R*B = 0.
     """
-    R = relator_condition_matrix(presentation, rep)
+    E = row_echelon(relator_condition_matrix(presentation, rep))
     B = coboundary_matrix(rep)
-    if not (R * B).is_zero():
+    if not (E * B).is_zero():
         raise RuntimeError("coboundaries outside the cocycle lattice")
     inv = cokernel_invariants(B)
-    return AbelianInvariants(inv.free_rank - rank(R), inv.torsion)
+    return AbelianInvariants(inv.free_rank - E.rows, inv.torsion)
 
 
 def _is_cocycle(presentation, rep, cocycle):
@@ -272,13 +276,14 @@ CERTIFICATE_FORMAT = "modh1-certificate-1"
 # 2-vCPU Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
 
-# Each letter of a relator or embedding word costs one product of an
-# (n + 1)-square matrix with a block of n + 1 rows: a Fox Jacobian prefix,
-# or the restricted Z^1 basis; a generator used inverted adds one
-# rho_matrix of its 2x2 inverse, about (n + 1)^3 / 6 entry products.  The
-# budget on letters times (n + 1)^3 is that of `witness --kind ba:120,1`,
-# the costliest certificate the CLI writes: 30 letters (sl2 and gl2
-# relators, embedding words s, t).
+# Each letter of a relator costs at most one rho_matrix of a 2x2 prefix,
+# its Fox Jacobian term, about (n + 1)^3 / 6 entry products; each letter
+# of an embedding word costs one product of an (n + 1)-square matrix with
+# the restricted Z^1 basis, a block of n + 1 rows, and a generator used
+# inverted there adds one rho_matrix of its 2x2 inverse.  The budget on
+# letters times (n + 1)^3 is that of `witness --kind ba:120,1`, the
+# costliest certificate the CLI writes: 30 letters (sl2 and gl2 relators,
+# embedding words s, t).
 CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
 
@@ -444,7 +449,11 @@ class Certificate:
             check(label, False, "functional length %d" % len(target), len(u))
             return
         ok, ub = _refutes(u, m, target, blocks)
-        check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m, "u.b = %d" % ub)
+        try:
+            pairing = "u.b = %d" % ub
+        except ValueError:  # more digits than Python converts to decimal
+            pairing = "u.b = %#x" % ub
+        check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m, pairing)
 
 
 def make_ba(n, a):

@@ -10,16 +10,20 @@ smith_normal_form(A), its one constructor, returns a SmithLattice: U, V
 and the diagonal of S (S itself is never built), through which it reads
 the lattice spanned by the columns of A.
 
-Smith, rank and kernel_basis rest on one in-place row echelon routine.
-Transforms ride along as appended columns: reducing the rows of [A | I]
-leaves U in the right-hand block, and the Smith form alternates passes on
-[S | U] and [S^T | V^T].  Each pass leaves positive pivots in its leading
-rows, so the nonzero entries of the final diagonal are already a positive
-prefix.  rank reduces the bare rows and carries no transform, and so does
-the Smith form behind cokernel_invariants, which reads only the diagonal:
-it starts from A's bare rows and carries neither U nor V.  kernel_basis
-stops after its first two passes.  No matrix is ever inverted here: the
-one inverse the package needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
+Smith, rank, row_echelon and kernel_basis rest on one in-place row
+echelon routine: a forward sweep that clears below each pivot, then a
+second sweep that makes each pivot positive and reduces the rows above
+it.  Transforms ride along as appended columns: reducing the rows of
+[A | I] leaves U in the right-hand block, and the Smith form alternates
+passes on [S | U] and [S^T | V^T].  Each pass leaves positive pivots in
+its leading rows, so the nonzero entries of the final diagonal are
+already a positive prefix.  rank and row_echelon run the forward sweep
+alone, on the bare rows: the row count, and the nonzero rows of a
+unimodular U*A, are all they read.  The Smith form behind
+cokernel_invariants reads only the diagonal: it starts from A's bare rows
+and carries neither U nor V.  kernel_basis stops after its first two
+passes.  No matrix is ever inverted here: the one inverse the package
+needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -316,10 +320,38 @@ def _echelon(rows, n):
     Entries past column n receive the same row operations, so reducing
     [A | I] leaves the unimodular transform in the appended block.  Pivots
     are chosen from the first n columns alone.  Returns the rank.
+
+    The forward sweep never reads a row again once it holds a pivot, so
+    making each pivot positive and reducing the rows above it can wait for
+    a second sweep, in pivot order, with the same row operations as when
+    each followed its own pivot.
+    """
+    pivots = _forward(rows, n)
+    for r, j in enumerate(pivots):
+        if rows[r][j] < 0:
+            rows[r] = [-x for x in rows[r]]
+        p = rows[r][j]
+        pivot = [(k, x) for k, x in enumerate(rows[r]) if x]
+        for i in range(r):
+            row = rows[i]
+            q = row[j] // p  # floor division leaves a residue in [0, p)
+            if q:
+                for k, x in pivot:
+                    row[k] -= q * x
+    return len(pivots)
+
+
+def _forward(rows, n):
+    """Clear below each pivot of the first n columns of rows, in place.
+
+    Returns the pivot columns: row r holds the pivot in column
+    pivots[r], and the rows past the last pivot vanish in the first n
+    columns.
     """
     m = len(rows)
-    r = 0
+    pivots = []
     for j in range(n):
+        r = len(pivots)
         if r >= m:
             break
         # gcd out the column below row r
@@ -345,20 +377,9 @@ def _echelon(rows, n):
                         done = False
             if done:
                 break
-        if rows[r][j] == 0:
-            continue
-        if rows[r][j] < 0:
-            rows[r] = [-x for x in rows[r]]
-        p = rows[r][j]
-        pivot = [(k, x) for k, x in enumerate(rows[r]) if x]
-        for i in range(r):
-            row = rows[i]
-            q = row[j] // p  # floor division leaves a residue in [0, p)
-            if q:
-                for k, x in pivot:
-                    row[k] -= q * x
-        r += 1
-    return r
+        if rows[r][j]:
+            pivots.append(j)
+    return pivots
 
 
 def smith_normal_form(A):
@@ -442,7 +463,18 @@ def _smith(A, transforms):
 
 def rank(A):
     """Rank of A over the rationals (equal to the rank over Z)."""
-    return _echelon([list(row) for row in A.data], A.cols)
+    return row_echelon(A).rows
+
+
+def row_echelon(A):
+    """The nonzero rows of a row echelon form U*A, U unimodular.
+
+    They span A's row lattice, and (row_echelon(A) * B).is_zero() exactly
+    when (A * B).is_zero(); their count is rank(A).  Only the forward
+    sweep runs: the rows above each pivot are left unreduced.
+    """
+    rows = [list(row) for row in A.data]
+    return IntMatrix._of(rows[:len(_forward(rows, A.cols))], A.cols)
 
 
 def kernel_basis(A):

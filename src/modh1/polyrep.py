@@ -117,18 +117,13 @@ GEN_W = Mat2(0, 1, 1, 0)
 GEN_EPS = Mat2(-1, 0, 0, -1)
 
 
-def _linear_power(alpha, beta, m):
-    # Coefficient list of (alpha X + beta Y)^m, X-degree descending.
-    return [comb(m, i) * alpha ** (m - i) * beta ** i for i in range(m + 1)]
-
-
-def _convolve(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if y:
-                    out[i + j] += x * y
+def _powers(alpha, beta, n):
+    # Coefficient lists of (alpha X + beta Y)^m, X-degree descending, for
+    # m = 0..n: each is the one before it times alpha X + beta Y.
+    out = [[1]]
+    for _ in range(n):
+        p = out[-1]
+        out.append([alpha * x + beta * y for x, y in zip(p + [0], [0] + p)])
     return out
 
 
@@ -136,28 +131,32 @@ def rho_matrix(A, n):
     """Matrix of the degree-n action of A, size (n+1) x (n+1).
 
     Column k holds the coefficients of (a X + c Y)^(n-k) (b X + d Y)^k, the
-    image of the basis monomial X^(n-k) Y^k.
+    image of the basis monomial X^(n-k) Y^k; each product is added
+    straight into the rows.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    cols = []
-    for k in range(n + 1):
-        p = _linear_power(A.a, A.c, n - k)
-        q = _linear_power(A.b, A.d, k)
-        cols.append(_convolve(p, q))
-    return IntMatrix.from_columns(cols, rows=n + 1)
+    ps = _powers(A.a, A.c, n)
+    qs = _powers(A.b, A.d, n)
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, q in enumerate(qs):
+        q = [(j, y) for j, y in enumerate(q) if y]
+        for i, x in enumerate(ps[n - k]):
+            if x:
+                for j, y in q:
+                    rows[i + j][k] += x * y
+    return IntMatrix(rows)
 
 
 def rep_trace(A, n):
     """Trace of the degree-n action of A, without building the full matrix."""
+    ps = _powers(A.a, A.c, n)
+    qs = _powers(A.b, A.d, n)
     total = 0
-    for k in range(n + 1):
-        p = _linear_power(A.a, A.c, n - k)
-        q = _linear_power(A.b, A.d, k)
+    for k, q in enumerate(qs):
+        p = ps[n - k]
         # Only the X^(n-k) Y^k coefficient of the product is needed.
-        lo = max(0, k - len(q) + 1)
-        hi = min(k, len(p) - 1)
-        total += sum(p[i] * q[k - i] for i in range(lo, hi + 1))
+        total += sum(p[i] * q[k - i] for i in range(min(k, n - k) + 1))
     return total
 
 

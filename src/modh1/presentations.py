@@ -14,9 +14,10 @@ once.  Collected by generator, the terms of b(w) give the Fox Jacobian,
 blocks J_g with b(w) = sum_g J_g b(g); stacked over the relators, they form
 the relator condition matrix, whose integer kernel is the cocycle lattice.
 
-A Rep keeps its MatrixAssignment, and rho_n is a homomorphism, so rho(x)^-1
-and rho of a relator are rho_matrix of 2x2 values: no (n + 1)-square matrix
-is inverted, and one check, _check_relators, reads relators on 2x2 values.
+A Rep keeps its MatrixAssignment, and rho_n is a homomorphism, so rho(x)^-1,
+rho of a relator and each Fox block term, rho of a prefix, are rho_matrix
+of 2x2 values: no (n + 1)-square matrix is inverted or multiplied along a
+word, and one check, _check_relators, reads relators on 2x2 values.
 """
 
 from __future__ import annotations
@@ -212,24 +213,25 @@ def fox_jacobian(words, rep):
 
     Returns one dict per word, mapping each generator g that occurs in w
     to the matrix J_g with b(w) = sum_g J_g b(g) for every cocycle b.
-    Each word is walked once, and rho_n(x^-1) is built once, from x's 2x2
-    inverse, for each generator x that occurs inverted.
+    b(g) enters with rho of the prefix before it, b(g^-1) with minus rho
+    of the prefix through it.  rho_n is a homomorphism, so each term is
+    rho_matrix of the prefix's 2x2 value, built once per distinct value:
+    no (n + 1)-square product is formed.
     """
-    inverses = {g: rho_matrix(rep.assignment.matrices[g].inv(), rep.n)
-                for g in {g for w in words for g, s in w.letters if s == -1}}
-    eye = IntMatrix.identity(rep.n + 1)
+    matrices = rep.assignment.matrices
+    rho = {}
     out = []
     for word in words:
         blocks = {}
-        acc = eye
+        prefix = Mat2.identity()
         for g, s in word.letters:
-            step = rep[g] if s == 1 else inverses[g]
-            nxt = step if acc is eye else acc * step
-            # b(g) enters with rho of the prefix before it, b(g^-1) with
-            # minus rho of the prefix through it
-            term = acc if s == 1 else -nxt
+            nxt = prefix * (matrices[g] if s == 1 else matrices[g].inv())
+            value = prefix if s == 1 else nxt
+            if value not in rho:
+                rho[value] = rho_matrix(value, rep.n)
+            term = rho[value] if s == 1 else -rho[value]
             blocks[g] = blocks[g] + term if g in blocks else term
-            acc = nxt
+            prefix = nxt
         out.append(blocks)
     return out
 

@@ -183,6 +183,23 @@ class TestModularGroupH1:
         xy = Cocycle(pres, [[0, 1, 0], [0, 0, 0]])
         assert class_order(pres, assignment.rep(2), xy) == 2
 
+    def test_corrupted_relator_matrix_is_caught(self, monkeypatch):
+        # one wrong entry of R puts the coboundaries outside its kernel,
+        # and h1, which checks them on R's echelon rows, must say so
+        pres, assignment = builtin("gl2")
+        rep = assignment.rep(6)
+        R = relator_condition_matrix(pres, rep)
+        j = next(j for j, row in enumerate(coboundary_matrix(rep).data)
+                 if any(row))
+        for i in (0, R.rows // 2, R.rows - 1):
+            data = [list(row) for row in R.data]
+            data[i][j] += 1
+            monkeypatch.setattr(cohomology, "relator_condition_matrix",
+                                lambda p, r: IntMatrix(data))
+            with pytest.raises(RuntimeError, match="coboundaries outside "
+                                                   "the cocycle lattice"):
+                h1(pres, rep)
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14])
     def test_rank_against_free_product_route(self, n):
         pres, assignment = builtin("psl2")
@@ -770,6 +787,16 @@ class TestCertificates:
         # so the obstruction must be a genuine congruence
         assert ref["modulus"] >= 2
         assert ref["pairing"] % ref["modulus"] != 0
+
+    def test_pairing_past_the_decimal_digit_limit(self):
+        # Python refuses to write an int of more than 4300 digits in
+        # decimal; the check is still recorded, with u.b in hex
+        checks = []
+        Certificate._verify_refutation(
+            lambda *args: checks.append(args), "refutation",
+            {"functional": [1], "modulus": 0}, [10 ** 5000], [])
+        assert checks == [("refutation", True, "u.M = 0, u.b != 0 (mod 0)",
+                           "u.b = %#x" % 10 ** 5000)]
 
     def test_degree_bound(self):
         assert check_degree(0) == 0

@@ -16,6 +16,7 @@ from modh1.linalg import (
     kernel_basis,
     quotient_invariants,
     rank,
+    row_echelon,
     smith_normal_form,
     solve_integer,
     vstack,
@@ -174,6 +175,7 @@ RESULTS = {
     "hstack": lambda a, b: hstack([a, b]),
     "identity": lambda a, b: IntMatrix.identity(2),
     "zeros": lambda a, b: IntMatrix.zeros(2, 2),
+    "row_echelon": lambda a, b: row_echelon(a),
 }
 
 
@@ -443,6 +445,21 @@ def deficient_matrices(draw):
         data = [row[:j] + [0] + row[j:] for row in data]
         cols += 1
     return IntMatrix(data, cols=cols)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=st.one_of(int_matrices(), deficient_matrices()))
+def test_row_echelon(a):
+    # one nonzero row per unit of rank, pivots strictly rising, spanning
+    # the row lattice of a
+    e = row_echelon(a)
+    assert e.cols == a.cols
+    assert e.rows == rank(a) == sym(a).rank()
+    leads = [next(j for j, x in enumerate(row) if x) for row in e.data]
+    assert leads == sorted(set(leads))
+    at, et = a.transpose(), e.transpose()
+    assert all(solve_integer(et, row) is not None for row in a.data)
+    assert all(solve_integer(at, row) is not None for row in e.data)
 
 
 class TestSmithWithoutU:

@@ -23,8 +23,8 @@ def rho_by_substitution(A, n):
     """Independent oracle: expand P(aX + cY, bX + dY) symbolically."""
     cols = []
     for k in range(n + 1):
-        p = (A.a * X + A.c * Y) ** (n - k) * (A.b * X + A.d * Y) ** k
-        poly = sympy.Poly(sympy.expand(p), X, Y)
+        poly = (sympy.Poly(A.a * X + A.c * Y, X, Y) ** (n - k)
+                * sympy.Poly(A.b * X + A.d * Y, X, Y) ** k)
         col = [int(poly.coeff_monomial(X ** (n - j) * Y ** j))
                for j in range(n + 1)]
         cols.append(col)
@@ -53,8 +53,12 @@ def test_rho_matches_substitution_oracle():
     for _ in range(15):
         mats.append(Mat2(rng.randint(-5, 5), rng.randint(-5, 5),
                          rng.randint(-5, 5), rng.randint(-5, 5)))
+    for zero in range(4):  # a zero in each entry position, the rest not
+        entries = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)]
+        entries[zero] = 0
+        mats.append(Mat2(*entries))
     for A in mats:
-        for n in range(0, 6):
+        for n in (0, 1, 2, 3, 4, 5, 12, 21):
             assert rho_matrix(A, n) == rho_by_substitution(A, n)
 
 

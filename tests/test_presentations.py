@@ -260,23 +260,37 @@ class TestFoxJacobian:
             built.append(m)
             return rho_matrix(m, n)
 
+        def product(a, b):
+            raise AssertionError("(n + 1)-square product formed")
+
         pres, assign = builtin("gl2")
         rep = assign.rep(2)
         monkeypatch.setattr(presentations, "rho_matrix", spy)
         Z = IntMatrix([[1, -2]] * 9)
-        # the block walk and the Fox Jacobian: t is inverted twice in one
-        # word and once in the next, s and w never; rho_n(t^-1) is built
-        # once, from the 2x2 inverse, and is the inverse of rho_n(t)
-        t_inv = assign.matrices[1].inv()
-        for run in (lambda words: transport_blocks(words, rep, Z),
-                    lambda words: fox_jacobian(words, rep)):
-            built.clear()
-            run([pres.parse_word("s t s w"), pres.parse_word("t^-2"),
-                 pres.parse_word("w t^-1")])
-            assert built == [t_inv]
-            run([Word(), pres.parse_word("s w")])
-            assert built == [t_inv]
+        words = [pres.parse_word("s t s w"), pres.parse_word("t^-2"),
+                 pres.parse_word("w t^-1")]
+        # the block walk: t is inverted twice in one word and once in the
+        # next, s and w never; rho_n(t^-1) is built once, from the 2x2
+        # inverse, and is the inverse of rho_n(t)
+        s, t, w = assign.matrices
+        t_inv = t.inv()
+        transport_blocks(words, rep, Z)
+        assert built == [t_inv]
+        transport_blocks([Word(), pres.parse_word("s w")], rep, Z)
+        assert built == [t_inv]
         assert rho_matrix(t_inv, 2) == exact_inverse(rep[1])
+        # the Fox Jacobian: rho_n of each distinct 2x2 prefix a term reads,
+        # once per call (before a letter, through an inverted one), and no
+        # product of (n + 1)-square matrices
+        monkeypatch.setattr(IntMatrix, "__mul__", product)
+        built.clear()
+        fox_jacobian(words, rep)
+        eye = Mat2.identity()
+        assert built == [eye, s, s * t, s * t * s, t_inv, t_inv * t_inv,
+                         w * t_inv]
+        built.clear()
+        fox_jacobian([Word(), pres.parse_word("s w")], rep)
+        assert built == [eye, s]
 
     @pytest.mark.parametrize("group", ("psl2", "sl2", "pgl2", "gl2"))
     def test_relator_matrix_matches_reference(self, group):
