@@ -39,7 +39,6 @@ from .polyrep import (
     GEN_W,
     Mat2,
     eta,
-    rho_matrix,
 )
 from .presentations import (
     MatrixAssignment,
@@ -276,14 +275,14 @@ CERTIFICATE_FORMAT = "modh1-certificate-1"
 # 2-vCPU Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
 
-# Each letter of a relator costs at most one rho_matrix of a 2x2 prefix,
-# its Fox Jacobian term, about (n + 1)^3 / 6 entry products; each letter
-# of an embedding word costs one product of an (n + 1)-square matrix with
-# the restricted Z^1 basis, a block of n + 1 rows, and a generator used
-# inverted there adds one rho_matrix of its 2x2 inverse.  The budget on
-# letters times (n + 1)^3 is that of `witness --kind ba:120,1`, the
-# costliest certificate the CLI writes: 30 letters (sl2 and gl2 relators,
-# embedding words s, t).
+# Each letter of a relator costs at most one rho_n of a 2x2 prefix, its
+# Fox Jacobian term, about (n + 1)^2 entry products, built once per Rep;
+# each letter of an embedding word costs one product of an (n + 1)-square
+# matrix with the restricted Z^1 basis, a block of n + 1 rows, and a
+# generator used inverted there adds one rho_n of its 2x2 inverse.  The
+# budget on letters times (n + 1)^3 is that of `witness --kind ba:120,1`,
+# the costliest certificate the CLI writes: 30 letters (sl2 and gl2
+# relators, embedding words s, t).
 CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
 
@@ -616,9 +615,7 @@ def w_invariant_h1_rank(n):
     """
     _even_only(n)
     eye = IntMatrix.identity(n + 1)
-    S = rho_matrix(GEN_S, n)
-    T = rho_matrix(GEN_T, n)
-    W = rho_matrix(GEN_W, n)
+    S, T, W = MatrixAssignment([GEN_S, GEN_T, GEN_W]).rep(n)
     if _stacked_kernel_dim([S - eye, T - eye]) != 0:
         raise ValueError("nonzero invariant forms; normalization fails")
     sym_normalized = _stacked_kernel_dim([S + eye, W - eye])

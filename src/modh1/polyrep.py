@@ -8,6 +8,10 @@ row vector (X, Y):
 
 so that A . (B . P) = (AB) . P and the matrix of the action in the monomial
 basis (column-vector convention) is a homomorphism GL_2(Z) -> GL_{n+1}(Z).
+
+rho_matrix walks the columns (a X + c Y)^(n-k) (b X + d Y)^k one from the
+next, in O(n^2) entry products for any 2x2 matrix, singular ones included;
+rep_trace reads the diagonal off the same walk.
 """
 
 from __future__ import annotations
@@ -117,13 +121,51 @@ GEN_W = Mat2(0, 1, 1, 0)
 GEN_EPS = Mat2(-1, 0, 0, -1)
 
 
-def _powers(alpha, beta, n):
-    # Coefficient lists of (alpha X + beta Y)^m, X-degree descending, for
-    # m = 0..n: each is the one before it times alpha X + beta Y.
-    out = [[1]]
+def _columns(A, n):
+    # Column k of rho_n(A), k = 0..n, is P^(n-k) Q^k for P = aX + cY and
+    # Q = bX + dY, as n + 1 coefficients.  When P or Q is a monomial m Z
+    # (Z = X or Y, m possibly 0), a column is a walked power of the other
+    # form, scaled by a power of m and shifted.  Otherwise each column is
+    # the one before it times Q, divided exactly by P.
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    a, b, c, d = A.a, A.b, A.c, A.d
+    if a == 0 or c == 0:
+        return _monomial_walk(b, d, a or c, c != 0, n)
+    if b == 0 or d == 0:
+        return _monomial_walk(a, c, b or d, d != 0, n)[::-1]
+    col = [1]
     for _ in range(n):
-        p = out[-1]
-        out.append([alpha * x + beta * y for x, y in zip(p + [0], [0] + p)])
+        col = [a * x + c * y for x, y in zip(col + [0], [0] + col)]
+    out = [col]
+    for _ in range(n):
+        # g = col * Q / P, top coefficient first: (g P)_i = a g_i + c g_(i-1)
+        g, left, prev = [], 0, 0
+        for x in col:
+            prev, r = divmod(b * x + d * left - c * prev, a)
+            if r:
+                raise RuntimeError("rho_n column not divisible by aX + cY")
+            g.append(prev)
+            left = x
+        if d * left != c * prev:
+            raise RuntimeError("rho_n column not divisible by aX + cY")
+        out.append(g)
+        col = g
+    return out
+
+
+def _monomial_walk(alpha, beta, m, low, n):
+    # Column k is (m Z)^e (alpha X + beta Y)^k, e = n - k and Z = Y if low
+    # else X: the walked power of the linear form, times m^e, padded by e
+    # zeros on the side of the other variable.
+    out = []
+    p = [1]
+    for e in range(n, -1, -1):
+        scale = m ** e
+        col = p if scale == 1 else [scale * x for x in p]
+        out.append([0] * e + col if low else col + [0] * e)
+        if e:
+            p = [alpha * x + beta * y for x, y in zip(p + [0], [0] + p)]
     return out
 
 
@@ -131,33 +173,16 @@ def rho_matrix(A, n):
     """Matrix of the degree-n action of A, size (n+1) x (n+1).
 
     Column k holds the coefficients of (a X + c Y)^(n-k) (b X + d Y)^k, the
-    image of the basis monomial X^(n-k) Y^k; each product is added
-    straight into the rows.
+    image of the basis monomial X^(n-k) Y^k.  The columns are walked one
+    from the next, one multiply by a linear form and one exact division
+    or scaling each, so the matrix costs O(n^2) entry products.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    ps = _powers(A.a, A.c, n)
-    qs = _powers(A.b, A.d, n)
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, q in enumerate(qs):
-        q = [(j, y) for j, y in enumerate(q) if y]
-        for i, x in enumerate(ps[n - k]):
-            if x:
-                for j, y in q:
-                    rows[i + j][k] += x * y
-    return IntMatrix(rows)
+    return IntMatrix(zip(*_columns(A, n)))
 
 
 def rep_trace(A, n):
-    """Trace of the degree-n action of A, without building the full matrix."""
-    ps = _powers(A.a, A.c, n)
-    qs = _powers(A.b, A.d, n)
-    total = 0
-    for k, q in enumerate(qs):
-        p = ps[n - k]
-        # Only the X^(n-k) Y^k coefficient of the product is needed.
-        total += sum(p[i] * q[k - i] for i in range(min(k, n - k) + 1))
-    return total
+    """Trace of the degree-n action of A, read off its walked columns."""
+    return sum(col[k] for k, col in enumerate(_columns(A, n)))
 
 
 def eta(n):

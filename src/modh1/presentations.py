@@ -14,9 +14,10 @@ once.  Collected by generator, the terms of b(w) give the Fox Jacobian,
 blocks J_g with b(w) = sum_g J_g b(g); stacked over the relators, they form
 the relator condition matrix, whose integer kernel is the cocycle lattice.
 
-A Rep keeps its MatrixAssignment, and rho_n is a homomorphism, so rho(x)^-1,
-rho of a relator and each Fox block term, rho of a prefix, are rho_matrix
-of 2x2 values: no (n + 1)-square matrix is inverted or multiplied along a
+A Rep keeps its MatrixAssignment and one table of rho_n keyed by 2x2 value,
+and rho_n is a homomorphism, so rho(x)^-1, rho of a relator and each Fox
+block term, rho of a prefix, are read from that table: each value is built
+once per Rep, no (n + 1)-square matrix is inverted or multiplied along a
 word, and one check, _check_relators, reads relators on 2x2 values.
 """
 
@@ -131,14 +132,26 @@ class MatrixAssignment:
 
 
 class Rep(list):
-    """rho_n(g) for each generator g, kept beside the assignment and n."""
+    """rho_n(g) for each generator g, kept beside the assignment and n.
 
-    __slots__ = ("assignment", "n")
+    rho(A) reads rho_n of any 2x2 value A from one table, so each value is
+    built once for the life of the Rep; the generators come from it too.
+    """
+
+    __slots__ = ("assignment", "n", "_table")
 
     def __init__(self, assignment, n):
-        super().__init__(rho_matrix(m, n) for m in assignment.matrices)
         self.assignment = assignment
         self.n = n
+        self._table = {}
+        super().__init__(self.rho(m) for m in assignment.matrices)
+
+    def rho(self, A):
+        """rho_n(A) of a 2x2 value A, from the table."""
+        M = self._table.get(A)
+        if M is None:
+            M = self._table[A] = rho_matrix(A, self.n)
+        return M
 
 
 class Overgroup:
@@ -215,21 +228,16 @@ def fox_jacobian(words, rep):
     to the matrix J_g with b(w) = sum_g J_g b(g) for every cocycle b.
     b(g) enters with rho of the prefix before it, b(g^-1) with minus rho
     of the prefix through it.  rho_n is a homomorphism, so each term is
-    rho_matrix of the prefix's 2x2 value, built once per distinct value:
-    no (n + 1)-square product is formed.
+    rep.rho of the prefix's 2x2 value: no (n + 1)-square product is formed.
     """
     matrices = rep.assignment.matrices
-    rho = {}
     out = []
     for word in words:
         blocks = {}
         prefix = Mat2.identity()
         for g, s in word.letters:
             nxt = prefix * (matrices[g] if s == 1 else matrices[g].inv())
-            value = prefix if s == 1 else nxt
-            if value not in rho:
-                rho[value] = rho_matrix(value, rep.n)
-            term = rho[value] if s == 1 else -rho[value]
+            term = rep.rho(prefix) if s == 1 else -rep.rho(nxt)
             blocks[g] = blocks[g] + term if g in blocks else term
             prefix = nxt
         out.append(blocks)
@@ -242,8 +250,8 @@ def transport_blocks(words, rep, Z):
     Z stacks d = n + 1 rows of values per generator; the result has one
     d-row block X(w) per word.  Walking right to left, a letter acts by
     X -> M X + C: M, C = rho(x), Z_x for x and rho(x)^-1, -rho(x)^-1 Z_x
-    for x^-1, one sparse product.  rho(x)^-1 is rho_matrix of x's 2x2
-    inverse, built once for each generator that occurs inverted.
+    for x^-1, one sparse product.  rho(x)^-1 is rep.rho of x's 2x2
+    inverse, read only for generators that occur inverted.
     """
     d = rep.n + 1
     if Z.rows != len(rep) * d:
@@ -252,7 +260,7 @@ def transport_blocks(words, rep, Z):
     for g, s in {letter for w in words for letter in w.letters}:
         M, C = rep[g], IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
         if s == -1:
-            M = rho_matrix(rep.assignment.matrices[g].inv(), rep.n)
+            M = rep.rho(rep.assignment.matrices[g].inv())
             C = -(M * C)
         steps[g, s] = AffineMap(M, C)
     out = []
@@ -271,12 +279,12 @@ def cocycle_transport(word, rep, values):
 
 
 def _check_relators(presentation, rep):
-    # ValueError unless rho_n kills each relator: rho_matrix of its 2x2
-    # value, built only when that value is not the identity
+    # ValueError unless rho_n kills each relator: rep.rho of its 2x2
+    # value, read only when that value is not the identity
     eye = IntMatrix.identity(rep.n + 1)
     for rel in presentation.relators:
         value = evaluate_word(rel, rep.assignment.matrices)
-        if not value.is_identity() and rho_matrix(value, rep.n) != eye:
+        if not value.is_identity() and rep.rho(value) != eye:
             raise ValueError("representation does not satisfy relator %s"
                              % rel.format(presentation.generators))
 

@@ -449,6 +449,17 @@ TAMPERS = [
      lambda p: p["overgroups"][0]["matrices"].__setitem__(
          0, p["overgroups"][0]["matrices"][1]),
      "K x <eps> embedding"),
+    # singular subgroup matrices, one with a zero first column: rho_n of
+    # each is built without error, and the embedding check rejects them
+    ("lift", "subgroup matrix 0,1;0,1",
+     lambda p: p["subgroup"]["matrices"].__setitem__(0, [0, 1, 0, 1]),
+     "K x <eps> embedding"),
+    ("lift", "subgroup matrix 1,1;1,1",
+     lambda p: p["subgroup"]["matrices"].__setitem__(0, [1, 1, 1, 1]),
+     "K x <eps> embedding"),
+    ("lift", "subgroup matrix 0,0;0,0",
+     lambda p: p["subgroup"]["matrices"].__setitem__(0, [0, 0, 0, 0]),
+     "K x <eps> embedding"),
     ("ba", "swapped embedding word",
      lambda p: p["overgroups"][0]["embedding"].reverse(),
      "gl2 embedding"),

@@ -57,6 +57,10 @@ def test_rho_matches_substitution_oracle():
         entries = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)]
         entries[zero] = 0
         mats.append(Mat2(*entries))
+    # a zero column, zero rows and singular matrices with no zero entry
+    mats += [Mat2(0, 1, 0, 1), Mat2(1, 0, 1, 0), Mat2(0, 0, 3, -2),
+             Mat2(0, 0, 0, 0), Mat2(1, 1, 1, 1), Mat2(2, -4, -3, 6),
+             Mat2(6, 4, 9, 6)]
     for A in mats:
         for n in (0, 1, 2, 3, 4, 5, 12, 21):
             assert rho_matrix(A, n) == rho_by_substitution(A, n)

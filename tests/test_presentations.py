@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix as SymMatrix
 
+from modh1.cohomology import h1
 from modh1.congruence import lift_to_sl2, schreier_free_basis
 from modh1.linalg import IntMatrix, hstack, vstack
 from modh1.polyrep import GEN_S, GEN_T, Mat2, rho_matrix
@@ -251,46 +253,51 @@ class TestFoxJacobian:
         assert transport_blocks([Word()], rep, IntMatrix([[1]] * 6)) == [
             IntMatrix.zeros(3, 1)]
 
-    def test_inverts_only_generators_used_inverted(self, monkeypatch):
+    @pytest.mark.parametrize("group", ("psl2", "sl2", "gl2"))
+    def test_h1_builds_rho_once_per_value(self, group, monkeypatch):
         import modh1.presentations as presentations
 
-        built = []
+        built = Counter()
 
         def spy(m, n):
-            built.append(m)
+            built[m] += 1
             return rho_matrix(m, n)
 
         def product(a, b):
             raise AssertionError("(n + 1)-square product formed")
 
-        pres, assign = builtin("gl2")
-        rep = assign.rep(2)
         monkeypatch.setattr(presentations, "rho_matrix", spy)
-        Z = IntMatrix([[1, -2]] * 9)
-        words = [pres.parse_word("s t s w"), pres.parse_word("t^-2"),
-                 pres.parse_word("w t^-1")]
-        # the block walk: t is inverted twice in one word and once in the
-        # next, s and w never; rho_n(t^-1) is built once, from the 2x2
-        # inverse, and is the inverse of rho_n(t)
-        s, t, w = assign.matrices
-        t_inv = t.inv()
-        transport_blocks(words, rep, Z)
-        assert built == [t_inv]
-        transport_blocks([Word(), pres.parse_word("s w")], rep, Z)
-        assert built == [t_inv]
-        assert rho_matrix(t_inv, 2) == exact_inverse(rep[1])
-        # the Fox Jacobian: rho_n of each distinct 2x2 prefix a term reads,
-        # once per call (before a letter, through an inverted one), and no
-        # product of (n + 1)-square matrices
-        monkeypatch.setattr(IntMatrix, "__mul__", product)
-        built.clear()
-        fox_jacobian(words, rep)
-        eye = Mat2.identity()
-        assert built == [eye, s, s * t, s * t * s, t_inv, t_inv * t_inv,
-                         w * t_inv]
-        built.clear()
-        fox_jacobian([Word(), pres.parse_word("s w")], rep)
-        assert built == [eye, s]
+        pres, assign = builtin(group)
+        mats = assign.matrices
+        rep = assign.rep(6)
+        h1(pres, rep)
+        # the values h1 reads: the generators, each relator's value that is
+        # not the identity (psl2's are -1), and the Fox prefixes, before a
+        # letter and through an inverted one
+        read = set(mats)
+        for rel in pres.relators:
+            prefix = Mat2.identity()
+            for g, s in rel.letters:
+                nxt = prefix * (mats[g] if s == 1 else mats[g].inv())
+                read.add(prefix if s == 1 else nxt)
+                prefix = nxt
+            if not prefix.is_identity():
+                read.add(prefix)
+        assert built == dict.fromkeys(read, 1)
+        # later reads on the same Rep build nothing twice: the Fox Jacobian
+        # again, with no (n + 1)-square product, and walks that invert t,
+        # which build rho_n(t)^-1 from t's 2x2 inverse, once
+        with monkeypatch.context() as m:
+            m.setattr(IntMatrix, "__mul__", product)
+            fox_jacobian(pres.relators, rep)
+        assert built == dict.fromkeys(read, 1)
+        t_inv = mats[1].inv()
+        Z = IntMatrix([[1, -2]] * (7 * len(mats)))
+        for _ in range(2):
+            transport_blocks([Word([(1, -1), (1, -1)]), Word([(0, 1)])],
+                             rep, Z)
+        assert built == dict.fromkeys(read | {t_inv}, 1)
+        assert rep.rho(t_inv) == exact_inverse(rep[1])
 
     @pytest.mark.parametrize("group", ("psl2", "sl2", "pgl2", "gl2"))
     def test_relator_matrix_matches_reference(self, group):

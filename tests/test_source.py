@@ -112,26 +112,41 @@ def test_trusted_constructor_stays_in_linalg():
     assert callers == {"linalg.py"}
 
 
-def test_fox_jacobian_only_builds_the_relator_matrix():
-    # restrictions, transports and cocycle checks walk vectors along words
-    # (transport_blocks); only the relator condition matrix, whose kernel
-    # is Z^1, needs whole Fox Jacobians
-    callers, named = [], []
+def callers_and_modules(name):
+    # (module, top-level definition) of every call to name, and the
+    # modules that name it at all
+    callers, named = [], set()
     for module, tree in module_trees():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 for sub in ast.walk(node):
                     if (isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Name)
-                            and sub.func.id == "fox_jacobian"):
+                            and name in (getattr(sub.func, "id", None),
+                                         getattr(sub.func, "attr", None))):
                         callers.append((module, node.name))
         for node in ast.walk(tree):
-            if "fox_jacobian" in (getattr(node, "id", None),
-                                  getattr(node, "attr", None),
-                                  getattr(node, "name", None)):
-                named.append(module)
+            if name in (getattr(node, "id", None),
+                        getattr(node, "attr", None),
+                        getattr(node, "name", None)):
+                named.add(module)
+    return callers, named
+
+
+def test_fox_jacobian_only_builds_the_relator_matrix():
+    # restrictions, transports and cocycle checks walk vectors along words
+    # (transport_blocks); only the relator condition matrix, whose kernel
+    # is Z^1, needs whole Fox Jacobians
+    callers, named = callers_and_modules("fox_jacobian")
     assert callers == [("presentations.py", "relator_condition_matrix")]
     assert "cohomology.py" not in named
+
+
+def test_rho_matrix_only_through_rep():
+    # rho_n of a 2x2 value is read from a Rep's table, which builds each
+    # value once: only Rep calls rho_matrix, and no other module names it
+    callers, named = callers_and_modules("rho_matrix")
+    assert callers == [("presentations.py", "Rep")]
+    assert named == {"polyrep.py", "presentations.py"}
 
 
 def defaulted_parameters(tree):
