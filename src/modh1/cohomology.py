@@ -26,6 +26,7 @@ from .linalg import (
     cokernel_invariants,
     hstack,
     kernel_basis,
+    kills_kernel,
     quotient_invariants,
     rank,
     row_echelon,
@@ -47,6 +48,7 @@ from .presentations import (
     _check_relators,
     builtin,
     evaluate_word,
+    pull_back_functional,
     relator_condition_matrix,
     transport_blocks,
 )
@@ -200,19 +202,34 @@ def _refutation(M, target):
     ref = smith_normal_form(M).refute(target)
     if ref is None:
         return None
-    ok, pairing = _refutes(ref[0], ref[1], target, [M])
+    ok, pairing = _refutes(ref[0], ref[1], target, [_kills(M)])
     if not ok:
         raise RuntimeError("Smith functional does not refute membership")
-    return {"functional": ref[0], "modulus": ref[1], "pairing": pairing}
+    return {"functional": ref[0], "modulus": ref[1],
+            "pairing": _decimal_or_hex(pairing)}
 
 
-def _refutes(u, m, target, blocks):
-    # (whether u, m refute membership of target in the span of the blocks'
-    # columns, u.target); u.target goes first, then the blocks in turn
+def _decimal_or_hex(x):
+    # x itself when Python writes it in decimal, else its %#x text: json
+    # and "%d" refuse an int of more digits than sys.get_int_max_str_digits()
+    try:
+        "%d" % x
+    except ValueError:
+        return "%#x" % x
+    return x
+
+
+def _kills(M):
+    # the test of whether u.M = 0 (mod m), exactly when m = 0
+    return lambda u, m: all((x % m if m else x) == 0
+                            for x in M.transpose().mulvec(u))
+
+
+def _refutes(u, m, target, tests):
+    # (whether u, m refute membership of target, u.target): u.target != 0
+    # (mod m) goes first, then each test of u, m in turn
     ub = sum(x * y for x, y in zip(u, target))
-    ok = (ub % m if m else ub) != 0 and all(
-        (x % m if m else x) == 0
-        for M in blocks for x in M.transpose().mulvec(u))
+    ok = (ub % m if m else ub) != 0 and all(test(u, m) for test in tests)
     return ok, ub
 
 
@@ -269,20 +286,23 @@ def _claim(kind, presentation, assignment, n, cocycle, overgroups=()):
 
 CERTIFICATE_FORMAT = "modh1-certificate-1"
 
-# Re-checking a degree n certificate takes kernels of stacked (n + 1)-square
-# blocks, at a cost growing about as n^6: `verify-certificate` on a
-# `witness --kind ba:120,1` certificate (gl2 overgroup) takes about 4 s on a
-# 2-vCPU Xeon.  The CLI writes no higher degree.
+# Re-checking a degree n certificate takes a forward echelon, or a kernel
+# basis when the refutation has a modulus, of the overgroup's stacked
+# (n + 1)-square relator blocks, at a cost growing about as n^6:
+# `verify-certificate` on a `witness --kind ba:120,1` certificate (gl2
+# overgroup) takes about 4 s on a 2-vCPU Xeon.  The CLI writes no higher
+# degree.
 CERT_MAX_DEGREE = 120
 
 # Each letter of a relator costs at most one rho_n of a 2x2 prefix, its
-# Fox Jacobian term, about (n + 1)^2 entry products, built once per Rep;
-# each letter of an embedding word costs one product of an (n + 1)-square
-# matrix with the restricted Z^1 basis, a block of n + 1 rows, and a
-# generator used inverted there adds one rho_n of its 2x2 inverse.  The
-# budget on letters times (n + 1)^3 is that of `witness --kind ba:120,1`,
-# the costliest certificate the CLI writes: 30 letters (sl2 and gl2
-# relators, embedding words s, t).
+# Fox Jacobian term, about (n + 1)^2 entry products, built once per Rep.
+# In the re-check each letter of an embedding word costs one product of a
+# row vector with an (n + 1)-square matrix; writing the certificate, one
+# product of such a matrix with the restricted Z^1 basis, a block of n + 1
+# rows.  A generator used inverted there adds one rho_n of its 2x2 inverse.
+# The budget on letters times (n + 1)^3 is that of `witness --kind
+# ba:120,1`, the costliest certificate the CLI writes: 30 letters (sl2 and
+# gl2 relators, embedding words s, t).
 CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
 
@@ -407,10 +427,11 @@ class Certificate:
         sub_rep = sub_assign.rep(n)
         b = Cocycle(sub_pres, p["cocycle"]["values"])
         check("cocycle condition", _is_cocycle(sub_pres, sub_rep, b))
-        B_sub = coboundary_matrix(sub_rep)
+        coboundaries = _kills(coboundary_matrix(sub_rep))
         if kind == "noncoboundary":
             self._verify_refutation(check, "coboundary refutation",
-                                    p["refutation"], b.stacked(), [B_sub])
+                                    p["refutation"], b.stacked(),
+                                    [coboundaries])
             return
         if kind != "nonextendable":
             check("kind", False, "nonextendable", kind)
@@ -434,25 +455,24 @@ class Certificate:
             if not ok:
                 continue
 
-            def blocks():  # Z^1 of the overgroup only if u.b and u.B_sub pass
-                yield B_sub
-                yield restriction_image_matrix(pres, assign.rep(n), words)
+            def restricted(u, m):  # u.RZ = 0 (mod m) as v.Z, Z^1 not built
+                rep = assign.rep(n)
+                return kills_kernel(relator_condition_matrix(pres, rep),
+                                    pull_back_functional(words, rep, u), m)
             self._verify_refutation(check, "%s refutation" % label,
-                                    og["refutation"], b.stacked(), blocks())
+                                    og["refutation"], b.stacked(),
+                                    [coboundaries, restricted])
 
     @staticmethod
-    def _verify_refutation(check, label, ref, target, blocks):
+    def _verify_refutation(check, label, ref, target, tests):
         u = [_integer(x) for x in ref["functional"]]
         m = _integer(ref["modulus"])
         if len(u) != len(target):
             check(label, False, "functional length %d" % len(target), len(u))
             return
-        ok, ub = _refutes(u, m, target, blocks)
-        try:
-            pairing = "u.b = %d" % ub
-        except ValueError:  # more digits than Python converts to decimal
-            pairing = "u.b = %#x" % ub
-        check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m, pairing)
+        ok, ub = _refutes(u, m, target, tests)
+        check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m,
+              "u.b = %s" % _decimal_or_hex(ub))
 
 
 def make_ba(n, a):

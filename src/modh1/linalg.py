@@ -10,20 +10,23 @@ smith_normal_form(A), its one constructor, returns a SmithLattice: U, V
 and the diagonal of S (S itself is never built), through which it reads
 the lattice spanned by the columns of A.
 
-Smith, rank, row_echelon and kernel_basis rest on one in-place row
-echelon routine: a forward sweep that clears below each pivot, then a
-second sweep that makes each pivot positive and reduces the rows above
-it.  Transforms ride along as appended columns: reducing the rows of
-[A | I] leaves U in the right-hand block, and the Smith form alternates
-passes on [S | U] and [S^T | V^T].  Each pass leaves positive pivots in
-its leading rows, so the nonzero entries of the final diagonal are
-already a positive prefix.  rank and row_echelon run the forward sweep
-alone, on the bare rows: the row count, and the nonzero rows of a
-unimodular U*A, are all they read.  The Smith form behind
-cokernel_invariants reads only the diagonal: it starts from A's bare rows
-and carries neither U nor V.  kernel_basis stops after its first two
-passes.  No matrix is ever inverted here: the one inverse the package
-needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
+Smith, rank, row_echelon, kernel_basis and kills_kernel rest on one
+in-place row echelon routine: a forward sweep that clears below each
+pivot, then a second sweep that makes each pivot positive and reduces
+the rows above it.  Transforms ride along as appended columns: reducing
+the rows of [A | I] leaves U in the right-hand block, and the Smith form
+alternates passes on [S | U] and [S^T | V^T].  Each pass leaves positive
+pivots in its leading rows, so the nonzero entries of the final diagonal
+are already a positive prefix.  rank and row_echelon run the forward
+sweep alone, on the bare rows: the row count, and the nonzero rows of a
+unimodular U*A, are all they read.  So does kills_kernel(A, v, 0), which
+asks whether v kills A's kernel, that is, lies in A's rational row
+space: it reduces v against those rows and builds no kernel basis; with
+a modulus m != 0 it pairs v with kernel_basis(A).  The Smith form behind
+cokernel_invariants reads only the diagonal: it starts from A's bare
+rows and carries neither U nor V.  kernel_basis stops after its first
+two passes.  No matrix is ever inverted here: the one inverse the
+package needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -509,6 +512,39 @@ def kernel_basis(A):
                 break
         cols.append(c)
     return IntMatrix.from_columns(cols, rows=n)
+
+
+def kills_kernel(A, v, m):
+    """Whether v.x = 0 (mod m) for every integer x with A*x = 0.
+
+    m = 0 asks for v.x = 0 exactly.  That holds exactly when v lies in
+    the rational row space of A, the orthogonal complement of its kernel:
+    v is reduced fraction-free against the rows of row_echelon(A), in
+    pivot order, is divided by its content after each step to keep it
+    small, and must reduce to zero.  No kernel basis is built.
+    For m != 0 the test is kernel_basis(A)^T v = 0 (mod m): that basis
+    spans the whole integer kernel, so its columns are enough.
+    """
+    v = list(v)
+    if len(v) != A.cols:
+        raise ValueError("vector length mismatch")
+    if m:
+        return all(x % m == 0 for x in kernel_basis(A).transpose().mulvec(v))
+    rows = [list(row) for row in A.data]
+    for row, j in zip(rows, _forward(rows, A.cols)):
+        if not v[j]:
+            continue
+        g = gcd(row[j], v[j])
+        a, c = row[j] // g, v[j] // g
+        if a != 1:
+            v = [a * x for x in v]
+        for k in range(j, A.cols):
+            if row[k]:
+                v[k] -= c * row[k]
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+    return not any(v)
 
 
 def solve_integer(A, b):

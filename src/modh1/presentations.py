@@ -13,6 +13,10 @@ which transport_blocks walks right to left for a block of cocycles at
 once.  Collected by generator, the terms of b(w) give the Fox Jacobian,
 blocks J_g with b(w) = sum_g J_g b(g); stacked over the relators, they form
 the relator condition matrix, whose integer kernel is the cocycle lattice.
+pull_back_functional walks the adjoint left to right: a functional u on the
+values on some words becomes the functional v = sum_i u_i J_g(w_i) on the
+generator values, one row vector per word, so that a functional on
+restricted cocycles is tested on the overgroup's own cocycles without them.
 
 A Rep keeps its MatrixAssignment and one table of rho_n keyed by 2x2 value,
 and rho_n is a homomorphism, so rho(x)^-1, rho of a relator and each Fox
@@ -272,10 +276,53 @@ def transport_blocks(words, rep, Z):
     return out
 
 
-def cocycle_transport(word, rep, values):
-    """Value of the cocycle with the given generator values on a word."""
-    Z = IntMatrix.from_columns([[x for v in values for x in v]])
-    return transport_blocks([word], rep, Z)[0].column(0)
+def pull_back_functional(words, rep, u):
+    """The functional v on generator values with v.Z = u.X for every Z.
+
+    X = vstack(transport_blocks(words, rep, Z)), so this is the adjoint of
+    transport_blocks: u holds d = n + 1 entries per word, v d entries per
+    generator.  By Fox calculus X(w) = sum_g J_g(w) Z_g, so v_g is the sum
+    of u_i J_g(w_i) over the words.  Each word whose block u_i is nonzero
+    is walked left to right as one row vector r = u_i rho(prefix): a
+    letter x adds r to v_x, then steps r -> r rho(x); a letter x^-1 steps
+    r -> r rho(x)^-1, then subtracts r from v_x.  A letter costs one
+    vector-matrix product, over the nonzero entries of rho, and rho(x)^-1
+    is rep.rho of x's 2x2 inverse, read only for generators that occur
+    inverted.
+    """
+    d = rep.n + 1
+    if len(u) != len(words) * d:
+        raise ValueError("a functional on %d words needs %d entries"
+                         % (len(words), len(words) * d))
+    steps = {}  # (g, s) -> the nonzero entries of each row of rho(g)^s
+
+    def times(r, g, s):
+        # the row vector r times rho(g)^s
+        if (g, s) not in steps:
+            M = rep[g] if s == 1 else rep.rho(rep.assignment.matrices[g].inv())
+            steps[g, s] = [[(j, y) for j, y in enumerate(row) if y]
+                           for row in M.data]
+        out = [0] * d
+        for x, row in zip(r, steps[g, s]):
+            if x:
+                for j, y in row:
+                    out[j] += x * y
+        return out
+
+    v = [0] * (len(rep) * d)
+    for i, word in enumerate(words):
+        r = u[i * d:(i + 1) * d]
+        if not any(r):
+            continue
+        last = len(word) - 1
+        for k, (g, s) in enumerate(word.letters):
+            if s == -1:
+                r = times(r, g, s)
+            for j, x in enumerate(r, g * d):
+                v[j] += s * x
+            if s == 1 and k < last:  # no prefix past the word's end
+                r = times(r, g, s)
+    return v
 
 
 def _check_relators(presentation, rep):

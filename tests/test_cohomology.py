@@ -21,6 +21,8 @@ from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 import modh1.cohomology as cohomology
+import modh1.linalg as linalg
+from modh1.cli import main
 from modh1.cohomology import (
     _is_cocycle,
     CERT_MAX_COST,
@@ -71,10 +73,11 @@ from modh1.presentations import (
     Presentation,
     Word,
     builtin,
-    cocycle_transport,
     evaluate_word,
     fox_jacobian,
+    pull_back_functional,
     relator_condition_matrix,
+    transport_blocks,
 )
 
 
@@ -553,12 +556,29 @@ class TestTransportWalk:
             fox_jacobian(words, rep), cocycle_basis(pres, rep), d)
         b = Cocycle(pres, data.draw(vectors(d, k)))
         Z = IntMatrix.from_columns([b.stacked()])
-        for w in words:
-            assert cocycle_transport(w, rep, b.values) == _restricted(
-                fox_jacobian([w], rep), Z, d).column(0)
+        assert vstack(transport_blocks(words, rep, Z)) == _restricted(
+            fox_jacobian(words, rep), Z, d)
         sub = Presentation("sub", ["x%d" % i for i in range(len(words))], ())
         assert restrict(b, words, sub, rep) == reference_restrict(
             b, words, sub, rep)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_pull_back_is_the_adjoint(self, data):
+        # u.X = v.Z for X the stacked values on the words of the cocycles
+        # in Z's columns, and v the functional u pulled back along them
+        k, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        rep = MatrixAssignment(
+            [data.draw(gl2_elements()) for _ in range(k)]).rep(d - 1)
+        words = data.draw(words_over(k))
+        cols = data.draw(st.integers(1, 3))
+        Z = IntMatrix.from_columns(data.draw(vectors(k * d, cols)))
+        # some word blocks of u left zero, as in most refutations
+        u = [x for block in data.draw(vectors(d, len(words)))
+             for x in (block if data.draw(st.booleans()) else [0] * d)]
+        v = pull_back_functional(words, rep, u)
+        X = vstack(transport_blocks(words, rep, Z))
+        assert X.transpose().mulvec(u) == Z.transpose().mulvec(v)
 
     @pytest.mark.parametrize("group", ["psl2", "sl2", "pgl2", "gl2"])
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -640,7 +660,12 @@ def seed_report(tampered, failure):
 
 
 class TestCheapestFirst:
-    """Certificate.verify tests u.b and u.B_sub before building Z^1."""
+    """Certificate.verify tests u.b and u.B_sub before the overgroup's step.
+
+    That step builds the overgroup's relator matrix R_L and tests the
+    functional pulled back to the overgroup against it, so the spies count
+    the relator matrices built.
+    """
 
     @pytest.fixture(scope="class")
     def lift_payload(self):
@@ -653,20 +678,20 @@ class TestCheapestFirst:
         return cert.payload
 
     @pytest.fixture
-    def basis_calls(self, monkeypatch):
+    def relator_calls(self, monkeypatch):
         calls = []
-        real = cohomology.cocycle_basis
+        real = cohomology.relator_condition_matrix
 
         def spy(presentation, rep):
             calls.append(presentation.name)
             return real(presentation, rep)
 
-        monkeypatch.setattr(cohomology, "cocycle_basis", spy)
+        monkeypatch.setattr(cohomology, "relator_condition_matrix", spy)
         return calls
 
     @pytest.mark.parametrize("tampered", [0, 1])
     @pytest.mark.parametrize("failure", sorted(SEED_REPORTS))
-    def test_tampered_report_unchanged(self, lift_payload, basis_calls,
+    def test_tampered_report_unchanged(self, lift_payload, relator_calls,
                                        tampered, failure):
         payload = json.loads(json.dumps(lift_payload))
         og = payload["overgroups"][tampered]
@@ -678,12 +703,12 @@ class TestCheapestFirst:
         assert Certificate(payload).verify() == seed_report(tampered,
                                                             failure)
         other = payload["overgroups"][1 - tampered]["name"]
-        assert basis_calls == [other]
+        assert relator_calls == [other]
 
     @pytest.mark.parametrize("tampered", [0, 1])
     def test_functional_failing_on_the_coboundaries(self, lift_payload,
-                                                    basis_calls, tampered):
-        # u.b != 0 still, but u.B_sub != 0: refuted before Z^1 is built
+                                                    relator_calls, tampered):
+        # u.b != 0 still, but u.B_sub != 0: refuted before R_L is built
         payload = json.loads(json.dumps(lift_payload))
         lift = lift_to_sl2(schreier_free_basis(11))
         B_sub = coboundary_matrix(lift.assignment.rep(1))
@@ -697,35 +722,67 @@ class TestCheapestFirst:
         label = payload["overgroups"][tampered]["name"]
         assert [c["name"] for c in failed] == ["%s refutation" % label]
         assert failed[0]["actual"] == "u.b = %d" % ref["pairing"]
-        assert basis_calls == [payload["overgroups"][1 - tampered]["name"]]
+        assert relator_calls == [payload["overgroups"][1 - tampered]["name"]]
 
-    def test_functional_failing_only_on_the_restriction(self, basis_calls):
+    @staticmethod
+    def forged_ba(n, exact):
+        # the genuine b_a certificate at degree n under gl2, its functional
+        # swapped for a row u of B_sub's Smith transform with u.b != 0 and
+        # u.B_sub = 0 (mod m), but u.RZ != 0 (mod m); m = 0 when exact
+        sp, sa = builtin("sl2")
+        gl2 = TestCertificates().gl2_overgroup()
+        b = make_ba(n, 1)
+        payload = certify_nonextendable(sp, sa, n, b, [gl2]).payload
+        RZ = restriction_image_matrix(gl2.presentation, gl2.assignment.rep(n),
+                                      gl2.words)
+        smith = smith_normal_form(coboundary_matrix(sa.rep(n)))
+        # B_sub has 2(n + 1) rows and n + 1 columns
+        for u, m in zip(smith.U.data, smith.diagonal() + [0] * (n + 1)):
+            ub = sum(x * y for x, y in zip(u, b.stacked()))
+            if m != 1 and (m == 0) == exact and (ub % m if m else ub) and any(
+                    x % m if m else x for x in RZ.transpose().mulvec(u)):
+                break
+        else:
+            pytest.fail("no such row at degree %d" % n)
+        payload["overgroups"][0]["refutation"].update(functional=u,
+                                                      modulus=m)
+        return payload, u, m, b
+
+    def test_functional_failing_only_on_the_restriction(self, relator_calls):
         # u.b != 0 and u.B_sub = 0 (mod m), but u.RZ != 0 (mod m), so only
         # the last, costliest test refutes it.  At odd degree the free-lift
         # overgroups restrict into B_sub rationally, so this uses b_a at
         # n = 6 under gl2, whose restricted classes are not all coboundaries.
-        sp, sa = builtin("sl2")
-        gl2 = TestCertificates().gl2_overgroup()
-        b = make_ba(6, 1)
-        payload = certify_nonextendable(sp, sa, 6, b, [gl2]).payload
-        sub_rep = sa.rep(6)
-        RZ = restriction_image_matrix(gl2.presentation, gl2.assignment.rep(6),
-                                      gl2.words)
-        smith = smith_normal_form(coboundary_matrix(sub_rep))
-        u, m = next(
-            (u, m) for u, m in zip(smith.U.data, smith.diagonal())
-            if m > 1 and sum(x * y for x, y in zip(u, b.stacked())) % m
-            and any(x % m for x in RZ.transpose().mulvec(u)))
-        payload["overgroups"][0]["refutation"].update(functional=u,
-                                                      modulus=m)
-        basis_calls.clear()
+        payload, u, m, b = self.forged_ba(6, False)
+        relator_calls.clear()
         checks = Certificate(payload).verify()
         failed = [c for c in checks if not c["pass"]]
         assert [c["name"] for c in failed] == ["gl2 refutation"]
         assert failed[0]["expected"] == "u.M = 0, u.b != 0 (mod %d)" % m
         assert failed[0]["actual"] == "u.b = %d" % sum(
             x * y for x, y in zip(u, b.stacked()))
-        assert basis_calls == ["gl2"]
+        assert relator_calls == ["gl2"]
+
+    def test_exact_functional_failing_only_on_the_restriction(
+            self, relator_calls, tmp_path, monkeypatch):
+        # as above with m = 0, the route that reduces the pulled-back
+        # functional against R_L's echelon and builds no kernel basis.  At
+        # n = 6 H^1(gl2) has rank 0, so every exact u with u.B_sub = 0
+        # kills RZ; n = 10 is the first even degree where one does not.
+        payload, u, m, b = self.forged_ba(10, True)
+        assert m == 0
+        relator_calls.clear()
+        monkeypatch.setattr(linalg, "kernel_basis", None)
+        checks = Certificate(payload).verify()
+        failed = [c for c in checks if not c["pass"]]
+        assert [c["name"] for c in failed] == ["gl2 refutation"]
+        assert failed[0]["expected"] == "u.M = 0, u.b != 0 (mod 0)"
+        assert failed[0]["actual"] == "u.b = %d" % sum(
+            x * y for x, y in zip(u, b.stacked()))
+        assert relator_calls == ["gl2"]
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify-certificate", str(path)]) == 1
 
 
 class TestCertificates:
@@ -797,6 +854,16 @@ class TestCertificates:
             {"functional": [1], "modulus": 0}, [10 ** 5000], [])
         assert checks == [("refutation", True, "u.M = 0, u.b != 0 (mod 0)",
                            "u.b = %#x" % 10 ** 5000)]
+
+    def test_stored_pairing_past_the_decimal_digit_limit(self):
+        # json.dumps refuses such an int as well, so the certificate
+        # stores it by the report's rule: decimal up to the limit, hex past
+        for target, pairing in ((7, 7), (10 ** 5000, "%#x" % 10 ** 5000)):
+            ref = cohomology._refutation(IntMatrix([[0]]), [target])
+            assert ref == {"functional": [1], "modulus": 0,
+                           "pairing": pairing}
+            text = Certificate({"refutation": ref}).to_json()
+            assert json.loads(text)["refutation"]["pairing"] == pairing
 
     def test_degree_bound(self):
         assert check_degree(0) == 0

@@ -14,6 +14,7 @@ from modh1.linalg import (
     cokernel_invariants,
     hstack,
     kernel_basis,
+    kills_kernel,
     quotient_invariants,
     rank,
     row_echelon,
@@ -460,6 +461,23 @@ def test_row_echelon(a):
     at, et = a.transpose(), e.transpose()
     assert all(solve_integer(et, row) is not None for row in a.data)
     assert all(solve_integer(at, row) is not None for row in e.data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=st.one_of(int_matrices(), deficient_matrices()), data=st.data())
+def test_kills_kernel_exactly_on_the_row_space(a, data):
+    # m = 0 reduces v against a's echelon; sympy's rational nullspace is
+    # the oracle.  v is an integer combination of a's rows, which kills
+    # the kernel, or such a combination with one entry moved.
+    c = data.draw(st.lists(st.integers(-5, 5), min_size=a.rows,
+                           max_size=a.rows))
+    v = a.transpose().mulvec(c)
+    if a.cols and data.draw(st.booleans()):
+        v[data.draw(st.integers(0, a.cols - 1))] += data.draw(
+            st.integers(1, 9))
+    kills = all(sum(x * y for x, y in zip(v, n)) == 0
+                for n in sym(a).nullspace())
+    assert kills_kernel(a, v, 0) == kills
 
 
 class TestSmithWithoutU:

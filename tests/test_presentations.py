@@ -14,7 +14,6 @@ from modh1.polyrep import GEN_S, GEN_T, Mat2, rho_matrix
 from modh1.presentations import (
     Word,
     builtin,
-    cocycle_transport,
     evaluate_word,
     fox_jacobian,
     relator_condition_matrix,
@@ -92,20 +91,20 @@ def test_transport_concatenation_rule():
     n = 3
     rep = assign.rep(n)
     values = [[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(2)]
+    Z = IntMatrix.from_columns([[x for v in values for x in v]])
     for _ in range(20):
         u = Word([(rng.randrange(2), rng.choice((1, -1)))
                   for _ in range(rng.randint(0, 5))])
         v = Word([(rng.randrange(2), rng.choice((1, -1)))
                   for _ in range(rng.randint(0, 5))])
-        bu = cocycle_transport(u, rep, values)
-        bv = cocycle_transport(v, rep, values)
-        buv = cocycle_transport(u * v, rep, values)
+        bu, bv, buv = (X.column(0)
+                       for X in transport_blocks([u, v, u * v], rep, Z))
         mu = evaluate_word(u, assign.matrices)
         assert buv == [x + y for x, y in zip(bu, rho_matrix(mu, n).mulvec(bv))]
     # and b(g g^-1) = 0
     for g in (0, 1):
         w = Word([(g, 1), (g, -1)])
-        assert cocycle_transport(w, rep, values) == [0] * (n + 1)
+        assert transport_blocks([w], rep, Z)[0].column(0) == [0] * (n + 1)
 
 
 def exact_inverse(m):
@@ -215,8 +214,9 @@ class TestFoxJacobian:
         values = data.draw(st.lists(
             st.lists(st.integers(-9, 9), min_size=d, max_size=d),
             min_size=k, max_size=k))
-        assert cocycle_transport(u, rep, values) == reference_transport(
-            u, rep, values)
+        Z = IntMatrix.from_columns([[x for v in values for x in v]])
+        assert transport_blocks([u], rep, Z)[0].column(0) == (
+            reference_transport(u, rep, values))
 
     @pytest.mark.parametrize("group", GROUPS)
     def test_cancelling_pair_is_zero(self, group):

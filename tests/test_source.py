@@ -141,6 +141,17 @@ def test_fox_jacobian_only_builds_the_relator_matrix():
     assert "cohomology.py" not in named
 
 
+def test_certificate_recheck_builds_no_restricted_basis():
+    # writing a certificate needs the restriction RZ of a Z^1 basis of each
+    # overgroup; its re-check tests u.RZ as v.Z, with v pulled back to the
+    # overgroup, and builds neither Z^1 nor RZ
+    callers, _ = callers_and_modules("restriction_image_matrix")
+    assert sorted(callers) == [("cohomology.py", "certify_nonextendable"),
+                               ("cohomology.py", "restriction_cokernel")]
+    callers, _ = callers_and_modules("pull_back_functional")
+    assert callers == [("cohomology.py", "Certificate")]
+
+
 def test_rho_matrix_only_through_rep():
     # rho_n of a 2x2 value is read from a Rep's table, which builds each
     # value once: only Rep calls rho_matrix, and no other module names it
