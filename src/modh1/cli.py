@@ -526,6 +526,8 @@ def cmd_witness(args):
     if not sep:
         raise UsageError("kind must look like free-lift:p, ba:n,a, "
                          "beps:n,bits, or gammaN:N")
+    if args.n is not None and base != "free-lift":
+        raise UsageError("--n is for free-lift only, not %s" % base)
     if base == "free-lift":
         cert = _witness_free_lift(args, int(rest), report)
     elif base == "ba":

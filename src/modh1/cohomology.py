@@ -6,9 +6,11 @@ matrix R, and the coboundary lattice B^1 is the column span of the stacked
 torsion of H^1 = Z^1 / B^1 is the torsion of Z^N / B^1: the nontrivial
 elementary divisors of B, read off one Smith form of B that carries no
 transform.  The free rank is dim Z^1 - rank B.  h1 returns these
-invariants and no cocycles; class_order reads the order of one given
-class by a second route, in coordinates of a kernel basis of Z^1.
-Everything is exact.
+invariants and no cocycles; restriction_cokernel reads H^1 of a subgroup
+modulo the classes restricted from an overgroup the same way, with B
+replaced by the restriction image beside B.  class_order reads the order
+of one given class by a second route, in coordinates of a kernel basis
+of Z^1.  Everything is exact.
 
 The closed forms at the end of the module give the expected free ranks for
 the projective modular group and its extension by the swap, together with
@@ -27,7 +29,6 @@ from .linalg import (
     hstack,
     kernel_basis,
     kills_kernel,
-    quotient_invariants,
     rank,
     row_echelon,
     smith_normal_form,
@@ -118,16 +119,26 @@ def h1(presentation, rep):
     """The AbelianInvariants of H^1 of the presented group acting through rep.
 
     Z^1 is saturated and holds B^1, so the torsion of H^1 is that of
-    Z^N / B^1, and its free rank is that of Z^N / B^1 less rank R.  One
-    forward echelon E of R gives both rank R, its row count, and the
-    check R*B = 0: E is the nonzero rows of U*R with U unimodular, so
-    E*B = 0 exactly when R*B = 0.
+    Z^N / B^1, and its free rank is that of Z^N / B^1 less rank R.
     """
-    E = row_echelon(relator_condition_matrix(presentation, rep))
-    B = coboundary_matrix(rep)
-    if not (E * B).is_zero():
-        raise RuntimeError("coboundaries outside the cocycle lattice")
-    inv = cokernel_invariants(B)
+    return _saturated_quotient(relator_condition_matrix(presentation, rep),
+                               coboundary_matrix(rep))
+
+
+def _saturated_quotient(R, M):
+    # The AbelianInvariants of (integer kernel of R) / (column span of M).
+    # The kernel Z of R in Z^N is saturated, so Z^N / Z is free, and when
+    # M's columns lie in Z, Z / span(M) has the torsion of Z^N / span(M)
+    # and free rank dim Z - rank M: both are read off one transform-free
+    # Smith form of M, with dim Z = N - rank R.  One forward echelon E of
+    # R gives rank R, its row count, and the check that M's columns lie in
+    # Z: E is the nonzero rows of U*R with U unimodular, so E*M = 0
+    # exactly when R*M = 0.
+    E = row_echelon(R)
+    if not (E * M).is_zero():
+        raise RuntimeError(
+            "cocycles or coboundaries outside the cocycle lattice")
+    inv = cokernel_invariants(M)
     return AbelianInvariants(inv.free_rank - E.rows, inv.torsion)
 
 
@@ -187,11 +198,20 @@ def restriction_image_matrix(ambient_presentation, ambient_rep, words):
 
 def restriction_cokernel(ambient_presentation, ambient_rep,
                          sub_presentation, sub_rep, words):
-    """Invariants of H^1(subgroup) / image of H^1(ambient group) on words."""
-    Z_sub = cocycle_basis(sub_presentation, sub_rep)
-    B_sub = coboundary_matrix(sub_rep)
-    RZ = restriction_image_matrix(ambient_presentation, ambient_rep, words)
-    return quotient_invariants(Z_sub, hstack([RZ, B_sub]))
+    """Invariants of H^1(subgroup) / image of H^1(ambient group) on words.
+
+    Read the way h1 reads H^1, with B replaced by M = [RZ | B_sub], the
+    restricted ambient cocycles beside the subgroup's coboundaries.  The
+    subgroup's Z^1 is saturated in Z^N and holds M's columns, so the
+    quotient Z^1 / span(M) has the torsion of Z^N / span(M), and its free
+    rank is dim Z^1 - rank M.  No kernel basis of the subgroup's Z^1 and
+    no Smith transform is built.
+    """
+    return _saturated_quotient(
+        relator_condition_matrix(sub_presentation, sub_rep),
+        hstack([restriction_image_matrix(ambient_presentation, ambient_rep,
+                                         words),
+                coboundary_matrix(sub_rep)]))
 
 
 def _refutation(M, target):

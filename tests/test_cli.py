@@ -306,6 +306,12 @@ class TestWitness:
                      "--cert", str(tmp_path / "x.json")]) == 2
         assert main(["witness", "--kind", "free-lift:11",
                      "--cert", str(tmp_path / "x.json")]) == 2
+        # the other kinds take their degree from the kind, so --n is a
+        # usage error there, and no certificate is written
+        for kind in ("ba:2,1", "beps:4,1", "gammaN:5"):
+            assert main(["witness", "--kind", kind, "--n", "2",
+                         "--cert", str(tmp_path / "x.json")]) == 2
+        assert not (tmp_path / "x.json").exists()
 
     def test_ba(self, capsys, tmp_path):
         cert = tmp_path / "ba.json"

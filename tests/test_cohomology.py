@@ -447,6 +447,40 @@ class TestRestriction:
         inv = restriction_cokernel(gp, ga.rep(n), sp, sa.rep(n), words)
         assert inv.free_rank == cokernel_rank(n)
 
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_cokernel_against_quotient_route(self, n):
+        # free rank and torsion against the coordinates of [RZ | B_sub] in
+        # a kernel basis of the subgroup's Z^1, a route with no saturation
+        # argument
+        gp, ga, sp, sa, words = self.sl2_in_gl2()
+        sub_rep = sa.rep(n)
+        RZ = restriction_image_matrix(gp, ga.rep(n), words)
+        expected = quotient_invariants(
+            cocycle_basis(sp, sub_rep),
+            hstack([RZ, coboundary_matrix(sub_rep)]))
+        assert restriction_cokernel(gp, ga.rep(n), sp, sub_rep,
+                                    words) == expected
+
+    def test_corrupted_restriction_image_is_caught(self, monkeypatch):
+        # one wrong entry of RZ, in a row where the subgroup's relator
+        # matrix has a nonzero column, puts a column outside the subgroup's
+        # cocycle lattice, and restriction_cokernel must say so
+        gp, ga, sp, sa, words = self.sl2_in_gl2()
+        n = 10
+        sub_rep = sa.rep(n)
+        RZ = restriction_image_matrix(gp, ga.rep(n), words)
+        R = relator_condition_matrix(sp, sub_rep)
+        live = [i for i in range(R.cols) if any(row[i] for row in R.data)]
+        for i in (live[0], live[-1]):
+            for j in (0, RZ.cols - 1):
+                data = [list(row) for row in RZ.data]
+                data[i][j] += 1
+                monkeypatch.setattr(cohomology, "restriction_image_matrix",
+                                    lambda *a, data=data: IntMatrix(data))
+                with pytest.raises(RuntimeError, match="outside the cocycle "
+                                                       "lattice"):
+                    restriction_cokernel(gp, ga.rep(n), sp, sub_rep, words)
+
     def test_restricted_swap_cocycle_keeps_its_order(self):
         # frozen from a direct computation: the order 4 class at n = 4
         # restricts to an order 4 class

@@ -152,6 +152,23 @@ def test_certificate_recheck_builds_no_restricted_basis():
     assert callers == [("cohomology.py", "Certificate")]
 
 
+def test_one_reading_of_a_saturated_quotient():
+    # h1 and restriction_cokernel read a quotient of a saturated cocycle
+    # lattice the same way, through one helper: an echelon of the relator
+    # matrix and a transform-free Smith form, with no kernel basis and no
+    # coordinates in one
+    callers, _ = callers_and_modules("cokernel_invariants")
+    assert [c for c in callers if c[0] == "cohomology.py"] == [
+        ("cohomology.py", "_saturated_quotient")]
+    callers, named = callers_and_modules("_saturated_quotient")
+    assert sorted(callers) == [("cohomology.py", "h1"),
+                               ("cohomology.py", "restriction_cokernel")]
+    assert named == {"cohomology.py"}
+    for name in ("cocycle_basis", "smith_normal_form", "quotient_invariants"):
+        callers, _ = callers_and_modules(name)
+        assert ("cohomology.py", "restriction_cokernel") not in callers
+
+
 def test_rho_matrix_only_through_rep():
     # rho_n of a 2x2 value is read from a Rep's table, which builds each
     # value once: only Rep calls rho_matrix, and no other module names it
