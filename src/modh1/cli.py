@@ -5,8 +5,9 @@ oracle sweeps), witness (certificate construction and self-check),
 classify (element and maximal amenable type), pell (equation solving),
 and verify-certificate (re-check a stored certificate file).  Reports
 are printed as text, JSON, or CSV; exit status is 0 when every check
-passes, 1 on a failed mathematical check (a refused claim or a failed
-internal consistency check included), and 2 on usage errors.
+passes, 1 on a failed mathematical check (a refused claim, ClaimRefused,
+or a failed internal consistency check included), and 2 on any other
+ValueError: bad input.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from . import __version__
 from .amenable import classify, max_amenable_type, qform
 from .cohomology import (
     Certificate,
+    ClaimRefused,
     Cocycle,
     certify_nonextendable,
     certify_noncoboundary,
-    certificate_letters,
-    check_cost,
     check_degree,
     cokernel_rank,
     h1,
@@ -41,7 +41,6 @@ from .cohomology import (
 )
 from .congruence import (
     certify_membership_sample,
-    check_sample_fields,
     find_torsion,
     lift_to_sl2,
     schreier_free_basis,
@@ -98,22 +97,16 @@ class Report:
 
 
 def _plain(value):
-    """Recursively turn tuples and sets into JSON-friendly lists."""
+    """Recursively turn tuples into JSON-friendly lists."""
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [_plain(v) for v in sorted(value)]
     return value
 
 
 def _invariants_payload(inv):
     return {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
-
-
-class UsageError(Exception):
-    pass
 
 
 def _emit(report, args):
@@ -159,7 +152,7 @@ def _csv_cell(value):
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise UsageError("range must look like 2..40, got %r" % text)
+        raise ValueError("range must look like 2..40, got %r" % text)
     return int(lo), int(hi)
 
 
@@ -173,7 +166,7 @@ def _job_count(args):
         try:
             jobs = int(env)
         except ValueError:
-            raise UsageError("MODH1_JOBS must be an integer, got %r" % env)
+            raise ValueError("MODH1_JOBS must be an integer, got %r" % env)
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
@@ -220,7 +213,7 @@ def hyperbolic_corpus(count):
 def cmd_h1(args):
     report = Report("h1", {"group": args.group, "n": args.n})
     if args.n < 1:
-        raise UsageError("n must be at least 1")
+        raise ValueError("n must be at least 1")
     group = args.group.strip()
     if group.startswith("gamma0bar:"):
         p = int(group.split(":", 1)[1])
@@ -345,24 +338,20 @@ def _pell_case(D):
 _BRUTE_BOUND = 50
 
 
+def _inverts(w, g):
+    # w has trace 0 and det 1, and w g = g^-1 w
+    return w.trace() == 0 and w.det() == 1 and w * g == g.inv() * w
+
+
 def _amenable_case(entries):
     g = Mat2(*entries)
-    witness = None
-    try:
-        witness = max_amenable_type(g).witness
-    except ValueError:
-        return {"entries": entries, "error": "not hyperbolic"}
-    brute = _brute_witness(g)
-    out = {"entries": entries,
-           "decided": witness is not None,
-           "brute": brute is not None,
-           "valid": True,
-           "small": witness is not None and max(
-               abs(t) for t in witness.entries()) <= _BRUTE_BOUND}
-    if witness is not None:
-        out["valid"] = (witness.trace() == 0 and witness.det() == 1
-                        and witness * g == g.inv() * witness)
-    return out
+    witness = max_amenable_type(g).witness
+    return {"entries": entries,
+            "decided": witness is not None,
+            "brute": _brute_witness(g) is not None,
+            "valid": witness is None or _inverts(witness, g),
+            "small": witness is not None and max(
+                abs(t) for t in witness.entries()) <= _BRUTE_BOUND}
 
 
 def _brute_witness(g):
@@ -387,8 +376,7 @@ def _amenable_trio_checks(report):
                  "Z x| C4", dihedral.sl2_type)
     w = dihedral.witness
     report.check("dihedral witness valid", True,
-                 w is not None and w.trace() == 0 and w.det() == 1
-                 and w * Mat2(2, 1, 1, 1) == Mat2(2, 1, 1, 1).inv() * w)
+                 w is not None and _inverts(w, Mat2(2, 1, 1, 1)))
     parabolic = max_amenable_type(Mat2(1, 3, 0, 1))
     report.check("parabolic example generator",
                  "1,1;0,1", parabolic.generator.format())
@@ -420,22 +408,20 @@ def cmd_verify(args):
         for chunk in _pmap(case, values(bound), jobs):
             for name, expected, actual in chunk:
                 report.check(name, expected, actual)
-    elif args.suite == "amenable":
+    else:  # amenable
         report.params["count"] = args.count
         _amenable_trio_checks(report)
         corpus = [g.entries() for g in hyperbolic_corpus(args.count)]
         rows = _pmap(_amenable_case, corpus, jobs)
-        bad_valid = [r["entries"] for r in rows if not r.get("valid", False)]
+        bad_valid = [r["entries"] for r in rows if not r["valid"]]
         missed = [r["entries"] for r in rows
-                  if r.get("brute") and not r.get("decided")]
+                  if r["brute"] and not r["decided"]]
         invisible = [r["entries"] for r in rows
-                     if r.get("small") and not r.get("brute")]
+                     if r["small"] and not r["brute"]]
         report.record("corpus_size", len(rows))
         report.check("all returned witnesses valid", [], bad_valid)
         report.check("brute-confirmed witnesses all found", [], missed)
         report.check("small witnesses visible to brute force", [], invisible)
-    else:
-        raise UsageError("unknown suite %r" % args.suite)
     report.record("checks_run", len(report.checks))
     if not report.checks:
         report.check("nonempty sweep", "at least one check", "no checks")
@@ -451,48 +437,39 @@ def _gl2_overgroup():
                      [pres.parse_word("s"), pres.parse_word("t")])
 
 
-def _witness_free_lift(args, p, report):
-    if args.n is None or args.n < 1 or args.n % 2 == 0:
-        raise UsageError("free-lift needs an odd --n")
-    check_degree(args.n)
-    basis = schreier_free_basis(p)
+def _witness_free_lift(p, flags, report):
+    n = flags.get("n")
+    if n is None or n < 1 or n % 2 == 0:
+        raise ValueError("free-lift needs an odd --n")
+    check_degree(n)
+    basis = schreier_free_basis(int(p))
     lift = lift_to_sl2(basis)
-    # refuse a certificate too costly to re-check before building it
-    check_cost(args.n, certificate_letters(lift.presentation, lift.overgroups))
     report.record("basis_rank", len(basis.words))
-    report.record("h1_free_rank", h1(lift.presentation,
-                                     lift.assignment.rep(args.n)).free_rank)
     # The unit cocycle: X^n on the first generator, 0 on the others.  Both
     # overgroups hold a central element acting by -1 on P_n at odd n, so
     # their restricted classes are 2-torsion ("center kills", Brown,
     # Cohomology of Groups, III.8), and a class of infinite order, as the
     # unit class is at every p and n the tests cover, extends to neither.
-    unit = [0] * (len(basis.words) * (args.n + 1))
+    unit = [0] * (len(basis.words) * (n + 1))
     unit[0] = 1
-    cocycle = Cocycle.from_stacked(lift.presentation, unit, args.n + 1)
-    try:
-        cert = certify_nonextendable(lift.presentation, lift.assignment,
-                                     args.n, cocycle, lift.overgroups)
-    except ValueError as e:
-        report.check("unit class is nonextendable", "refuted", str(e))
-        return None
+    cocycle = Cocycle.from_stacked(lift.presentation, unit, n + 1)
+    cert = certify_nonextendable(lift.presentation, lift.assignment, n,
+                                 cocycle, lift.overgroups)
+    report.record("h1_free_rank", h1(lift.presentation,
+                                     lift.assignment.rep(n)).free_rank)
     refuted = sorted(e["name"] for e in cert.payload["overgroups"])
     report.record("overgroups", refuted)
     report.check("refuted overgroups", ["K x <eps>", "sl2"], refuted)
     return cert
 
 
-def _witness_ba(args, rest, report):
+def _witness_ba(rest, flags, report):
     n_text, _, a_text = rest.partition(",")
     n, a = check_degree(int(n_text)), int(a_text)
     cocycle = make_ba(n, a)
     sub_pres, sub_assign = builtin("sl2")
     over = _gl2_overgroup()
-    try:
-        cert = certify_nonextendable(sub_pres, sub_assign, n, cocycle, [over])
-    except ValueError as e:
-        report.check("class is nonextendable", "refuted", str(e))
-        return None
+    cert = certify_nonextendable(sub_pres, sub_assign, n, cocycle, [over])
     cok = restriction_cokernel(over.presentation, over.assignment.rep(n),
                                sub_pres, sub_assign.rep(n), over.words)
     report.record("cokernel", _invariants_payload(cok))
@@ -501,55 +478,59 @@ def _witness_ba(args, rest, report):
     return cert
 
 
-def _witness_beps(args, rest, report):
+def _witness_beps(rest, flags, report):
     n_text, _, bits = rest.partition(",")
     n = check_degree(int(n_text))
     if not bits or any(ch not in "01" for ch in bits):
-        raise UsageError("beps bits must be a nonempty 0/1 string")
+        raise ValueError("beps bits must be a nonempty 0/1 string")
     eps = [int(ch) for ch in bits]
     if not any(eps):
-        raise UsageError("the zero vector gives a coboundary")
+        raise ValueError("the zero vector gives a coboundary")
     cocycle = make_beps(n, eps)
     pres, assignment = builtin("gl2")
     report.record("epsilon", eps)
-    try:
-        cert = certify_noncoboundary(pres, assignment, n, cocycle)
-    except ValueError as e:
-        report.check("cocycle is not a coboundary", "refuted", str(e))
-        return None
+    return certify_noncoboundary(pres, assignment, n, cocycle)
+
+
+def _witness_gamma(N, flags, report):
+    # only the sample flags given are passed, so the library's defaults
+    # hold for the others
+    cert = certify_membership_sample(int(N), **flags)
+    report.record("sampled_words", cert.payload["count"])
+    report.check("membership mismatches", 0, cert.payload["mismatches"])
     return cert
+
+
+# kind -> (the witness flags it reads, the name and expected value of the
+# check that reports a refused claim, the builder of its certificate)
+_WITNESSES = {
+    "free-lift": (("n",), "unit class is nonextendable", "refuted",
+                  _witness_free_lift),
+    "ba": ((), "class is nonextendable", "refuted", _witness_ba),
+    "beps": ((), "cocycle is not a coboundary", "refuted", _witness_beps),
+    "gammaN": (("seed", "count", "max_length"), "membership sample clean",
+               "no mismatches", _witness_gamma),
+}
 
 
 def cmd_witness(args):
     report = Report("witness", {"kind": args.kind, "n": args.n})
     base, sep, rest = args.kind.partition(":")
-    if not sep:
-        raise UsageError("kind must look like free-lift:p, ba:n,a, "
-                         "beps:n,bits, or gammaN:N")
-    if args.n is not None and base != "free-lift":
-        raise UsageError("--n is for free-lift only, not %s" % base)
-    if base == "free-lift":
-        cert = _witness_free_lift(args, int(rest), report)
-    elif base == "ba":
-        cert = _witness_ba(args, rest, report)
-    elif base == "beps":
-        cert = _witness_beps(args, rest, report)
-    elif base == "gammaN":
-        N = int(rest)
-        # out-of-range sample sizes are usage errors, not failed claims
-        check_sample_fields(N, args.count, args.max_length)
-        try:
-            cert = certify_membership_sample(
-                N, seed=args.seed, count=args.count,
-                max_length=args.max_length)
-        except ValueError as e:
-            report.check("membership sample clean", "no mismatches", str(e))
-            return report
-        report.record("sampled_words", cert.payload["count"])
-        report.check("membership mismatches", 0, cert.payload["mismatches"])
-    else:
-        raise UsageError("unknown witness kind %r" % base)
-    if cert is None:
+    if not sep or base not in _WITNESSES:
+        raise ValueError("kind must look like free-lift:p, ba:n,a, "
+                         "beps:n,bits, or gammaN:N, got %r" % args.kind)
+    reads, refusal, expected, build = _WITNESSES[base]
+    flags = {}
+    for flag in ("n", "seed", "count", "max_length"):
+        if getattr(args, flag) is not None:
+            if flag not in reads:
+                raise ValueError("%s reads no --%s"
+                                 % (base, flag.replace("_", "-")))
+            flags[flag] = getattr(args, flag)
+    try:
+        cert = build(rest, flags, report)
+    except ClaimRefused as e:
+        report.check(refusal, expected, str(e))
         return report
     path = args.cert
     if not path:
@@ -574,9 +555,9 @@ def cmd_classify(args):
     try:
         g = Mat2.parse(args.matrix)
     except (ValueError, IndexError):
-        raise UsageError("matrix must look like a,b;c,d")
+        raise ValueError("matrix must look like a,b;c,d")
     if g.det() != 1:
-        raise UsageError("determinant must be 1, got %d" % g.det())
+        raise ValueError("determinant must be 1, got %d" % g.det())
     report = Report("classify", {"matrix": g.format()})
     cls = classify(g)
     report.record("class", cls.tag)
@@ -602,8 +583,7 @@ def cmd_classify(args):
         w = amen.witness
         report.record("witness", w.format())
         report.check("witness conjugates to the inverse", True,
-                     w.trace() == 0 and w.det() == 1
-                     and w * g == g.inv() * w)
+                     _inverts(w, g))
     if amen.generator is not None:
         gen = amen.generator
         report.record("generator", gen.format())
@@ -617,7 +597,7 @@ def cmd_classify(args):
 
 def cmd_pell(args):
     if args.d < 2 or isqrt(args.d) ** 2 == args.d:
-        raise UsageError("--d must be a nonsquare integer above 1")
+        raise ValueError("--d must be a nonsquare integer above 1")
     report = Report("pell", {"d": args.d})
     expansion = cf_sqrt(args.d)
     report.record("cf_integer_part", expansion.a0)
@@ -639,7 +619,7 @@ def cmd_pell(args):
                      four.x ** 2 - args.d * four.y ** 2)
     if args.solve is not None:
         if args.solve == 0:
-            raise UsageError("--solve must be nonzero")
+            raise ValueError("--solve must be nonzero")
         reps, aut = solve_norm_equation(args.d, args.solve)
         report.record("representatives", reps)
         report.record("automorph", aut.pair())
@@ -657,12 +637,12 @@ def cmd_verify_certificate(args):
         with open(args.file, "r", encoding="utf-8") as fh:
             cert = Certificate.from_json(fh.read())
     except (OSError, json.JSONDecodeError) as e:
-        raise UsageError("cannot read certificate: %s" % e)
+        raise ValueError("cannot read certificate: %s" % e)
     report = Report("verify-certificate", {"file": args.file})
     try:
         checks = cert.verify()
     except (KeyError, ValueError, TypeError) as e:
-        raise UsageError("malformed certificate payload: %s" % e)
+        raise ValueError("malformed certificate payload: %s" % e)
     payload = cert.payload
     report.record("kind", payload.get("kind")
                   if isinstance(payload, dict) else None)
@@ -712,18 +692,23 @@ def _build_parser():
                    help="worker processes (default MODH1_JOBS or 1)")
     common(p)
 
-    p = sub.add_parser("witness", help="build and self-verify a certificate")
+    p = sub.add_parser("witness", help="build and self-verify a certificate",
+                       description="Exit 1 if the claim is refused "
+                                   "(ClaimRefused), 2 on any other bad "
+                                   "input, such as a flag the kind does "
+                                   "not read.")
     p.set_defaults(func=cmd_witness)
     p.add_argument("--kind", required=True,
-                   help="free-lift:p, ba:n,a, beps:n,bits, or gammaN:N")
-    p.add_argument("--n", type=int, help="degree (free-lift only)")
+                   help="free-lift:p (reads --n), ba:n,a, beps:n,bits, or "
+                        "gammaN:N (reads --seed, --count, --max-length)")
+    p.add_argument("--n", type=int, help="odd degree (free-lift only)")
     p.add_argument("--cert", help="certificate output path")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sample seed (gammaN only)")
-    p.add_argument("--count", type=int, default=10000,
-                   help="sample size (gammaN only)")
-    p.add_argument("--max-length", type=int, default=20,
-                   help="sample word length bound (gammaN only)")
+    p.add_argument("--seed", type=int,
+                   help="sample seed (gammaN only, default 0)")
+    p.add_argument("--count", type=int,
+                   help="sample size (gammaN only, default 10000)")
+    p.add_argument("--max-length", type=int,
+                   help="sample word length bound (gammaN only, default 20)")
     common(p)
 
     p = sub.add_parser("classify", help="element and maximal amenable type")
@@ -760,9 +745,6 @@ def main(argv=None):
         args.format = "json" if args.command == "pell" else "text"
     try:
         report = args.func(args)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

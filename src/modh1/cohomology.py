@@ -12,6 +12,9 @@ replaced by the restriction image beside B.  class_order reads the order
 of one given class by a second route, in coordinates of a kernel basis
 of Z^1.  Everything is exact.
 
+A certify_* function raises ClaimRefused, a ValueError, when its claim is
+false; any other ValueError it raises is bad input.
+
 The closed forms at the end of the module give the expected free ranks for
 the projective modular group and its extension by the swap, together with
 the dimension counts they are assembled from.  Each formula checks its own
@@ -253,6 +256,10 @@ def _refutes(u, m, target, tests):
     return ok, ub
 
 
+class ClaimRefused(ValueError):
+    """The claim to certify is false; no certificate exists."""
+
+
 def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
                           overgroups):
     """Build a certificate that no listed overgroup's cohomology hits the class.
@@ -260,7 +267,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     Each overgroup is a presentations.Overgroup.  For each overgroup L the
     membership question "is the cocycle, modulo coboundaries, the
     restriction of a cocycle on L" is a lattice membership problem.  When
-    it is solvable the cocycle extends and ValueError is raised; otherwise
+    it is solvable the cocycle extends and ClaimRefused is raised; otherwise
     a Smith-form functional refuting membership is stored.
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
@@ -273,7 +280,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
         RZ = restriction_image_matrix(og.presentation, amb_rep, og.words)
         refutation = _refutation(hstack([RZ, B_sub]), cocycle.stacked())
         if refutation is None:
-            raise ValueError("the class extends to overgroup %r" % og.name)
+            raise ClaimRefused("the class extends to overgroup %r" % og.name)
         entry = _presentation_payload(og.presentation, og.assignment)
         entry.update(name=og.name, refutation=refutation,
                      embedding=[w.format(og.presentation.generators)
@@ -289,7 +296,7 @@ def certify_noncoboundary(presentation, assignment, n, cocycle):
     payload["refutation"] = _refutation(coboundary_matrix(rep),
                                         cocycle.stacked())
     if payload["refutation"] is None:
-        raise ValueError("the cocycle is a coboundary")
+        raise ClaimRefused("the cocycle is a coboundary")
     return Certificate(payload)
 
 

@@ -475,12 +475,12 @@ def certify_membership_sample(N, seed=0, count=10000, max_length=20):
     the digest and recounts.  This is evidence, not proof, but the full
     equivalence is a short determinant argument either way.
     """
-    from .cohomology import CERTIFICATE_FORMAT, Certificate
+    from .cohomology import CERTIFICATE_FORMAT, Certificate, ClaimRefused
 
     check_sample_fields(N, count, max_length)
     mismatches, digest = _sample_record(N, seed, count, max_length)
     if mismatches:
-        raise ValueError("characterization failed on %d words" % mismatches)
+        raise ClaimRefused("characterization failed on %d words" % mismatches)
     payload = {
         "format": CERTIFICATE_FORMAT,
         "kind": "membership-sample",

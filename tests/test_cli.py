@@ -10,7 +10,8 @@ import pytest
 
 import modh1.cli
 from modh1.cli import _job_count, main
-from modh1.cohomology import Cocycle, certify_noncoboundary, make_ba
+from modh1.cohomology import ClaimRefused, Cocycle, certify_noncoboundary, \
+    make_ba
 from modh1.presentations import Word, builtin, evaluate_word
 
 
@@ -337,6 +338,37 @@ class TestWitness:
         assert payload["checks"] == [{
             "name": "class is nonextendable", "expected": "refuted",
             "actual": "the class extends to overgroup 'gl2'", "pass": False}]
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("kind, certify, name", [
+        ("free-lift:11 --n 1", "certify_nonextendable",
+         "unit class is nonextendable"),
+        ("beps:4,1", "certify_noncoboundary", "cocycle is not a coboundary"),
+        ("gammaN:5", "certify_membership_sample", "membership sample clean")])
+    def test_each_kind_reports_a_refusal(self, capsys, tmp_path, monkeypatch,
+                                         kind, certify, name):
+        def refuse(*args, **kwargs):
+            raise ClaimRefused("refused")
+
+        monkeypatch.setattr(modh1.cli, certify, refuse)
+        cert = tmp_path / "x.json"
+        code, payload = run_json(capsys, ["witness", "--kind"] + kind.split()
+                                 + ["--cert", str(cert)])
+        assert code == 1
+        assert [(c["name"], c["actual"], c["pass"])
+                for c in payload["checks"]] == [(name, "refused", False)]
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("kind", ["free-lift:11 --n 1", "ba:4,1",
+                                      "beps:4,1"])
+    @pytest.mark.parametrize("flag", ["--seed", "--count", "--max-length"])
+    def test_sample_flags_are_for_gamma_only(self, capsys, tmp_path, kind,
+                                             flag):
+        # a flag the kind does not read is a usage error, not ignored
+        cert = tmp_path / "x.json"
+        assert main(["witness", "--kind"] + kind.split()
+                    + [flag, "5", "--cert", str(cert)]) == 2
+        assert "reads no %s" % flag in capsys.readouterr().err
         assert not cert.exists()
 
     def test_oversized_sample_is_usage_error(self, capsys, tmp_path):

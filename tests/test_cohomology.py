@@ -28,6 +28,7 @@ from modh1.cohomology import (
     CERT_MAX_COST,
     CERT_MAX_DEGREE,
     Certificate,
+    ClaimRefused,
     Cocycle,
     beps_relation_lattice,
     certify_noncoboundary,
@@ -860,8 +861,16 @@ class TestCertificates:
         P = [1, 0, 0]
         vals = [(m - IntMatrix.identity(3)).mulvec(P) for m in rep]
         b = Cocycle(sp, vals)
-        with pytest.raises(ValueError):
+        with pytest.raises(ClaimRefused, match="the cocycle is a coboundary"):
             certify_noncoboundary(sp, sa, 2, b)
+
+    def test_extending_class_has_no_certificate(self):
+        # b_0 at n = 2 is the restriction of a gl2 class
+        sp, sa = builtin("sl2")
+        with pytest.raises(ClaimRefused,
+                           match="the class extends to overgroup 'gl2'"):
+            certify_nonextendable(sp, sa, 2, make_ba(2, 0),
+                                  [self.gl2_overgroup()])
 
     def test_noncoboundary_certificate(self):
         gp, ga = builtin("gl2")
@@ -905,15 +914,18 @@ class TestCertificates:
         for bad in (CERT_MAX_DEGREE + 1, -1, True, 4.0, "4"):
             with pytest.raises(ValueError):
                 check_degree(bad)
-        # checked before any matrix of that degree is built
+        # checked before any matrix of that degree is built, and bad
+        # input, not a refused claim
         gp, ga = builtin("gl2")
         b = make_beps(6, [1, 1])
-        with pytest.raises(ValueError, match="degree"):
+        with pytest.raises(ValueError, match="degree") as raised:
             certify_noncoboundary(gp, ga, 10 ** 9, b)
+        assert not isinstance(raised.value, ClaimRefused)
         sp, sa = builtin("sl2")
-        with pytest.raises(ValueError, match="degree"):
+        with pytest.raises(ValueError, match="degree") as raised:
             certify_nonextendable(sp, sa, 10 ** 9, make_ba(2, 1),
                                   [self.gl2_overgroup()])
+        assert not isinstance(raised.value, ClaimRefused)
 
     def test_cost_budget(self):
         # the budget is that of ba:120,1, the costliest certificate the CLI
@@ -931,9 +943,10 @@ class TestCertificates:
         long_word = gp.parse_word("s t " * 8)
         costly = Overgroup("gl2", gp, builtin("gl2")[1],
                            [long_word, long_word])
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match="budget") as raised:
             certify_nonextendable(sp, sa, CERT_MAX_DEGREE, make_ba(2, 1),
                                   [costly])
+        assert not isinstance(raised.value, ClaimRefused)
 
 
 class TestCocycleContainer:

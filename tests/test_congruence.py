@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, Cocycle, h1, \
-    certify_nonextendable
+import modh1.congruence
+from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, ClaimRefused, \
+    Cocycle, h1, certify_nonextendable
 from modh1.congruence import (
     CosetTable,
     FreeBasis,
@@ -141,8 +142,17 @@ class TestMembership:
             ("payload fields", False)]
 
     def test_sample_bounds_apply_when_certifying(self):
-        with pytest.raises(ValueError):
+        # an out-of-range sample is bad input, not a refused claim
+        with pytest.raises(ValueError) as raised:
             certify_membership_sample(3, count=10 ** 12)
+        assert not isinstance(raised.value, ClaimRefused)
+
+    def test_mismatching_sample_is_refused(self, monkeypatch):
+        monkeypatch.setattr(modh1.congruence, "_sample_record",
+                            lambda *args: (2, "0" * 64))
+        with pytest.raises(ClaimRefused,
+                           match="characterization failed on 2 words"):
+            certify_membership_sample(3, count=50)
 
 
 class TestCosetTable:

@@ -167,6 +167,12 @@ class TestSolveNormEquation:
         for u, y in reps:
             assert u * u - 5 * y * y == -4
             assert (u + y) % 2 == 0
+        # filters of modulus 1 hold everywhere: the unfiltered
+        # representatives come back, with no automorph order search
+        unfiltered, _ = solve_norm_equation(5, -4)
+        assert len(unfiltered) == 32
+        reps, _ = solve_norm_equation(5, -4, filters=[(1, 1, 1)])
+        assert reps == unfiltered
 
     def test_filtered_matches_stepwise_reference(self):
         # reference: every point of each representative's orbit period,

@@ -239,3 +239,27 @@ def test_defaults_are_passed():
                 unpassed.append("%s:%s(%s)" % (module, dotted, name))
     assert unpassed == []
 
+
+
+def test_claim_refusals_are_caught_once():
+    # a refused claim is ClaimRefused, a ValueError, which main would
+    # report as bad input: only cmd_witness catches it, and no witness
+    # builder catches a ValueError; the budget and sample bounds are left
+    # to the certify functions that check them
+    handlers = []
+    for module, tree in module_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                handlers.extend(
+                    (module, node.name, {n.id for n in ast.walk(sub.type)
+                                         if isinstance(n, ast.Name)})
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.ExceptHandler) and sub.type)
+    assert [h[:2] for h in handlers if "ClaimRefused" in h[2]] == [
+        ("cli.py", "cmd_witness")]
+    witness = [h for h in handlers if h[0] == "cli.py"
+               and (h[1] == "cmd_witness" or h[1].startswith("_witness_"))]
+    assert witness == [("cli.py", "cmd_witness", {"ClaimRefused"})]
+    for name in ("check_cost", "check_sample_fields"):
+        callers, _ = callers_and_modules(name)
+        assert [c for c in callers if c[0] == "cli.py"] == []
