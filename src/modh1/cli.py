@@ -444,19 +444,21 @@ def _witness_free_lift(p, flags, report):
     check_degree(n)
     basis = schreier_free_basis(int(p))
     lift = lift_to_sl2(basis)
-    report.record("basis_rank", len(basis.words))
+    k = len(basis.words)
+    report.record("basis_rank", k)
     # The unit cocycle: X^n on the first generator, 0 on the others.  Both
     # overgroups hold a central element acting by -1 on P_n at odd n, so
     # their restricted classes are 2-torsion ("center kills", Brown,
     # Cohomology of Groups, III.8), and a class of infinite order, as the
     # unit class is at every p and n the tests cover, extends to neither.
-    unit = [0] * (len(basis.words) * (n + 1))
+    unit = [0] * (k * (n + 1))
     unit[0] = 1
     cocycle = Cocycle.from_stacked(lift.presentation, unit, n + 1)
     cert = certify_nonextendable(lift.presentation, lift.assignment, n,
                                  cocycle, lift.overgroups)
-    report.record("h1_free_rank", h1(lift.presentation,
-                                     lift.assignment.rep(n)).free_rank)
+    rank = h1(lift.presentation, lift.assignment.rep(n)).free_rank
+    report.record("h1_free_rank", rank)
+    report.check("h1 free rank is (k - 1)(n + 1)", (k - 1) * (n + 1), rank)
     refuted = sorted(e["name"] for e in cert.payload["overgroups"])
     report.record("overgroups", refuted)
     report.check("refuted overgroups", ["K x <eps>", "sl2"], refuted)

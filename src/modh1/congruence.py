@@ -87,21 +87,44 @@ class CosetTable:
     """Left cosets of the projective Gamma_0-bar(p), as points of P^1(F_p).
 
     Point labels are 0..p-1 for (x:1) and p for (1:0).  The base point is
-    (1:0), whose stabilizer is exactly the c = 0 mod p subgroup.  perm_s
-    and perm_t give the left action of the two projective generators and
-    are worked out from p; transversal[i] is a word with
-    transversal[i] . base = point i.
+    (1:0), whose stabilizer is exactly the c = 0 mod p subgroup.  The
+    table is worked out from p: perm_s and perm_t give the left action of
+    the two projective generators, each image computed once, and T^-1
+    acts as the inverse permutation of perm_t.  transversal[i] is a word
+    with transversal[i] . base = point i, from a breadth-first search
+    from the base point over those permutations with letter order S, T,
+    T^-1; transversal words are geodesic and every suffix of one is again
+    a transversal word.
     """
 
     __slots__ = ("p", "points", "base", "perm_s", "perm_t", "transversal")
 
-    def __init__(self, p, transversal):
+    def __init__(self, p):
         self.p = p
         self.points = range(p + 1)
         self.base = p
         self.perm_s = [self.apply(GEN_S, x) for x in self.points]
         self.perm_t = [self.apply(GEN_T, x) for x in self.points]
-        self.transversal = transversal
+        perm_t_inv = [0] * (p + 1)
+        for x, y in enumerate(self.perm_t):
+            perm_t_inv[y] = x
+        moves = ((self.perm_s, (_LETTER_S, 1)), (self.perm_t, (_LETTER_T, 1)),
+                 (perm_t_inv, (_LETTER_T, -1)))
+        letters = [None] * (p + 1)
+        letters[p] = ()  # the base point (1:0)
+        queue = [p]
+        while queue:
+            nxt = []
+            for x in queue:
+                for perm, letter in moves:
+                    y = perm[x]
+                    if letters[y] is None:
+                        letters[y] = (letter,) + letters[x]
+                        nxt.append(y)
+            queue = nxt
+        if None in letters:
+            raise RuntimeError("action is not transitive")
+        self.transversal = [Word(word) for word in letters]
 
     def apply(self, g, point):
         """Image of a point under an integer matrix, projectively mod p."""
@@ -111,32 +134,11 @@ class CosetTable:
 def coset_table(p):
     """Coset table of the c = 0 mod p projective subgroup, index p+1.
 
-    The transversal comes from a breadth-first search from the base point
-    with letter order S, T, T^-1; transversal words are geodesic and every
-    suffix of one is again a transversal word.
+    Checks that p is prime; CosetTable(p) works out the rest.
     """
     if not _is_prime(p):
         raise ValueError("%r is not prime" % (p,))
-    t_inv = GEN_T.inv()
-    letters = [(GEN_S, (_LETTER_S, 1)), (GEN_T, (_LETTER_T, 1)),
-               (t_inv, (_LETTER_T, -1))]
-    transversal = [None] * (p + 1)
-    transversal[p] = Word(())  # the base point (1:0)
-    queue = [p]
-    seen = 1
-    while queue:
-        nxt = []
-        for x in queue:
-            for mat, letter in letters:
-                y = _projective_image(p, mat, x)
-                if transversal[y] is None:
-                    transversal[y] = Word((letter,)) * transversal[x]
-                    nxt.append(y)
-                    seen += 1
-        queue = nxt
-    if seen != p + 1:
-        raise RuntimeError("action is not transitive")
-    return CosetTable(p, transversal)
+    return CosetTable(p)
 
 
 def torsion_criterion(p):
@@ -176,7 +178,7 @@ def find_torsion(p):
 # Elements of the projective modular group in free product normal form:
 # strings over the tokens "s" (the involution) and "t", "T" (the order 3
 # generator and its inverse), with adjacent tokens always from different
-# factors.  This is the length function Nielsen reduction runs on.
+# factors.
 
 _INVERT = str.maketrans("tT", "Tt")
 
@@ -227,51 +229,6 @@ def _syllables_to_word(syl):
     return Word(tuple(_TOKEN_LETTER[tok] for tok in syl))
 
 
-def _nielsen_reduce(elems):
-    """Greedy length reduction of a generating set in syllable form.
-
-    Applies Nielsen moves (replace a generator by its product with another
-    generator or that generator's inverse, or by a conjugate) while any
-    move shortens the set, dropping trivial elements and inverse
-    duplicates.  Total syllable length strictly decreases, so this
-    terminates.  Each sweep inverts every element once.
-    """
-    elems = [e for e in elems if e]
-    changed = True
-    while changed:
-        changed = False
-        # dedupe up to inversion
-        canon = {}
-        for e in elems:
-            e_inv = _syllable_inv(e)
-            canon.setdefault(min(e, e_inv), (e, e_inv))
-        elems = [e for e, _ in canon.values()]
-        inverses = [e_inv for _, e_inv in canon.values()]
-        for i, a in enumerate(elems):
-            for j, (b, b_inv) in enumerate(zip(elems, inverses)):
-                if i == j:
-                    continue
-                ba = _syllable_mul(b, a)
-                b_inv_a = _syllable_mul(b_inv, a)
-                candidates = [
-                    _syllable_mul(a, b),
-                    _syllable_mul(a, b_inv),
-                    ba,
-                    b_inv_a,
-                    _syllable_mul(ba, b_inv),
-                    _syllable_mul(b_inv_a, b),
-                ]
-                best = min(candidates, key=len)
-                if len(best) < len(a):
-                    # nonempty: after the dedupe b is neither a nor a^-1
-                    elems[i] = best
-                    changed = True
-                    break
-            if changed:
-                break
-    return elems
-
-
 class FreeBasis:
     """A free basis of the projective c = 0 mod p subgroup."""
 
@@ -303,10 +260,12 @@ def schreier_free_basis(p):
     and those products literally cancel to the empty normal form.  Keeping
     one generator per involution orbit and two per order 3 orbit (dropping
     trivial ones) consumes every relation, so what remains is a free
-    basis.  A final Nielsen pass shortens it; the size must land exactly
-    on 1 + (p+1)/6, the rank forced by the Euler characteristic of a
-    torsion-free index p+1 subgroup, and any mismatch is reported rather
-    than papered over.
+    basis.  From the geodesic transversal it is already Nielsen-reduced:
+    no product or conjugate with another generator or its inverse is
+    shorter (the tests check this, as for free groups in Lyndon-Schupp,
+    ch. I.2).  The size must land exactly on 1 + (p+1)/6, the rank forced
+    by the Euler characteristic of a torsion-free index p+1 subgroup, and
+    any mismatch is reported rather than papered over.
     """
     if not torsion_criterion(p):
         raise ValueError("subgroup has torsion for p = %d" % p)
@@ -356,11 +315,10 @@ def schreier_free_basis(p):
         elif len(live) == 1:
             raise RuntimeError("order 3 orbit relation failed")
 
-    basis = _nielsen_reduce(basis)
     expected = 1 + (p + 1) // 6
     if len(basis) != expected:
         raise RuntimeError(
-            "reduction finished with %d generators, free rank is %d"
+            "Schreier rewriting left %d generators, free rank is %d"
             % (len(basis), expected))
     words = [_syllables_to_word(s) for s in basis]
     mats = [evaluate_word(w, (GEN_S, GEN_T)) for w in words]

@@ -12,6 +12,7 @@ import modh1.cli
 from modh1.cli import _job_count, main
 from modh1.cohomology import ClaimRefused, Cocycle, certify_noncoboundary, \
     make_ba
+from modh1.linalg import AbelianInvariants
 from modh1.presentations import Word, builtin, evaluate_word
 
 
@@ -301,6 +302,34 @@ class TestWitness:
             assert values == [[1] + [0] * n] + [[0] * (n + 1)] * (k - 1)
             code, report = run_json(capsys, ["verify-certificate", str(cert)])
             assert code == 0 and checks_pass(report)
+
+    @pytest.mark.parametrize("p, n, rank", [(11, 1, 4), (11, 3, 8),
+                                            (47, 5, 48), (131, 3, 88)])
+    def test_free_lift_checks_h1_free_rank(self, capsys, tmp_path, p, n,
+                                           rank):
+        # H^1 of the lifted free subgroup of rank k = 1 + (p+1)/6 has free
+        # rank (k - 1)(n + 1), checked as h1 --group gamma0bar:p checks it
+        code, payload = run_json(capsys, [
+            "witness", "--kind", "free-lift:%d" % p, "--n", str(n),
+            "--cert", str(tmp_path / "x.json")])
+        assert code == 0
+        assert payload["results"]["h1_free_rank"] == rank
+        assert [c for c in payload["checks"]
+                if c["name"] == "h1 free rank is (k - 1)(n + 1)"] == [{
+                    "name": "h1 free rank is (k - 1)(n + 1)",
+                    "expected": rank, "actual": rank, "pass": True}]
+
+    def test_free_lift_reports_a_wrong_h1_free_rank(self, capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(modh1.cli, "h1",
+                            lambda *args: AbelianInvariants(3))
+        code, payload = run_json(capsys, [
+            "witness", "--kind", "free-lift:11", "--n", "1",
+            "--cert", str(tmp_path / "x.json")])
+        assert code == 1
+        assert [c for c in payload["checks"] if not c["pass"]] == [{
+            "name": "h1 free rank is (k - 1)(n + 1)", "expected": 4,
+            "actual": 3, "pass": False}]
 
     def test_free_lift_needs_odd_degree(self, capsys, tmp_path):
         assert main(["witness", "--kind", "free-lift:11", "--n", "2",

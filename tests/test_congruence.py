@@ -22,7 +22,6 @@ from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, ClaimRefused, \
 from modh1.congruence import (
     CosetTable,
     FreeBasis,
-    _nielsen_reduce,
     _syllable_inv,
     _syllable_mul,
     _syllables_to_word,
@@ -188,10 +187,38 @@ class TestCosetTable:
         assert table.apply(Mat2(1, 0, 1, 1), table.base) != table.base
 
     def test_permutations_match_apply(self):
-        table = coset_table(13)
-        for x in table.points:
-            assert table.perm_s[x] == table.apply(GEN_S, x)
-            assert table.perm_t[x] == table.apply(GEN_T, x)
+        for p in primes(2, 100):
+            table = coset_table(p)
+            for x in table.points:
+                assert table.perm_s[x] == table.apply(GEN_S, x)
+                assert table.perm_t[x] == table.apply(GEN_T, x)
+
+    def test_geodesic_schreier_transversal(self):
+        # every suffix of a transversal word is the transversal word of the
+        # point it reaches, and each word is as long as its point's distance
+        # from the base, found by a search that uses apply alone
+        moves = {(0, 1): GEN_S, (1, 1): GEN_T, (1, -1): GEN_T.inv()}
+        for p in primes(2, 100):
+            table = coset_table(p)
+            dist, frontier = {table.base: 0}, [table.base]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for g in moves.values():
+                        y = table.apply(g, x)
+                        if y not in dist:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+            assert sorted(dist) == list(table.points)
+            for x in table.points:
+                letters = table.transversal[x].letters
+                assert len(letters) == dist[x]
+                y = table.base
+                for i in reversed(range(len(letters))):
+                    y = table.apply(moves[letters[i]], y)
+                    assert table.transversal[y].letters == letters[i:]
+                assert y == x
 
 
 class TestTorsionCriterion:
@@ -252,7 +279,9 @@ def reference_inverse(a):
 
 
 def reference_nielsen(elems):
-    # the greedy reduction as first written: every candidate built in full
+    # greedy Nielsen reduction: replace a generator by its product with
+    # another generator or that generator's inverse, or by a conjugate,
+    # while any of these shortens it; every candidate is built in full
     def mul(a, b):
         return reference_normal_form(a + b)
 
@@ -309,11 +338,14 @@ class TestNormalForm:
         assert proj_value(_syllables_to_word(ab)).proj_eq(
             proj_value(Word(u + v)))
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.lists(letter_lists, min_size=1, max_size=5))
-    def test_nielsen_matches_reference(self, words):
-        elems = [_word_to_syllables(Word(w)) for w in words]
-        assert _nielsen_reduce(list(elems)) == reference_nielsen(elems)
+    def test_bases_are_nielsen_reduced(self):
+        # the Schreier generators from the geodesic transversal are already
+        # Nielsen-reduced: the greedy reduction leaves each basis unchanged
+        for p in primes(11, 200):
+            if p % 12 == 11:
+                basis = [_word_to_syllables(w)
+                         for w in schreier_free_basis(p).words]
+                assert reference_nielsen(basis) == basis
 
     def test_bases_frozen(self):
         # sha256 of the basis words for every p = 11 mod 12 up to 400, as

@@ -177,6 +177,14 @@ def test_rho_matrix_only_through_rep():
     assert named == {"polyrep.py", "presentations.py"}
 
 
+def test_projective_images_only_in_the_coset_table():
+    # CosetTable works out the images of S and T once and its search reads
+    # them from perm_s and perm_t: only CosetTable calls _projective_image
+    callers, named = callers_and_modules("_projective_image")
+    assert callers == [("congruence.py", "CosetTable")]
+    assert named == {"congruence.py"}
+
+
 def defaulted_parameters(tree):
     # (dotted name, called name, parameter, position) for every defaulted
     # parameter of a public function, or of __init__ or a public method of
