@@ -133,10 +133,9 @@ def _saturated_quotient(R, M):
     # The kernel Z of R in Z^N is saturated, so Z^N / Z is free, and when
     # M's columns lie in Z, Z / span(M) has the torsion of Z^N / span(M)
     # and free rank dim Z - rank M: both are read off one transform-free
-    # Smith form of M, with dim Z = N - rank R.  One forward echelon E of
-    # R gives rank R, its row count, and the check that M's columns lie in
-    # Z: E is the nonzero rows of U*R with U unimodular, so E*M = 0
-    # exactly when R*M = 0.
+    # Smith form of M, with dim Z = N - rank R.  One echelon E of R gives
+    # rank R, its row count, and the check that M's columns lie in Z: E's
+    # rows span R's rational row space, so E*M = 0 exactly when R*M = 0.
     E = row_echelon(R)
     if not (E * M).is_zero():
         raise RuntimeError(

@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -449,18 +450,37 @@ def deficient_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(a=st.one_of(int_matrices(), deficient_matrices()))
-def test_row_echelon(a):
+@given(a=st.one_of(int_matrices(), deficient_matrices()), data=st.data())
+def test_row_echelon(a, data):
     # one nonzero row per unit of rank, pivots strictly rising, spanning
-    # the row lattice of a
+    # the rational row space of a (its row lattice is not promised), so
+    # that E*b = 0 exactly when A*b = 0; sympy is the oracle
     e = row_echelon(a)
     assert e.cols == a.cols
-    assert e.rows == rank(a) == sym(a).rank()
+    kernel = sym(a).nullspace()
+    r = a.cols - len(kernel)
+    assert e.rows == rank(a) == r
     leads = [next(j for j, x in enumerate(row) if x) for row in e.data]
     assert leads == sorted(set(leads))
-    at, et = a.transpose(), e.transpose()
-    assert all(solve_integer(et, row) is not None for row in a.data)
-    assert all(solve_integer(at, row) is not None for row in e.data)
+    # a's rows and e's together have a's rank, so e spans a's row space
+    assert a.cols - len(sym(vstack([a, e])).nullspace()) == r
+    # b is a combination of sympy's rational kernel vectors scaled to
+    # integers, then the same vector with one entry moved
+    b = SymMatrix.zeros(a.cols, 1)
+    for v in kernel:
+        b += data.draw(st.integers(-3, 3)) * v
+    den = lcm(*(x.q for x in b))
+    b = [int(x * den) for x in b]
+    vectors = [b]
+    if a.cols:
+        moved = list(b)
+        moved[data.draw(st.integers(0, a.cols - 1))] += data.draw(
+            st.integers(1, 9))
+        vectors.append(moved)
+    for v in vectors:
+        col = IntMatrix.from_columns([v], rows=a.cols)
+        assert (e * col).is_zero() == (a * col).is_zero()
+    assert (a * IntMatrix.from_columns([b], rows=a.cols)).is_zero()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
