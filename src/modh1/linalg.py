@@ -17,11 +17,12 @@ it.  Transforms ride along as appended columns: reducing the rows of
 [A | I] leaves U in the right-hand block, and the Smith form alternates
 passes on [S | U] and [S^T | V^T].  Each pass leaves positive pivots in
 its leading rows, so the nonzero entries of the final diagonal are
-already a positive prefix.  The Smith form behind cokernel_invariants
-reads only the diagonal: it starts from A's bare rows and carries
-neither U nor V.  kernel_basis stops after its first two passes.  No
-matrix is ever inverted here: the one inverse the package needs,
-rho_n(g)^-1, is rho_n of g's 2x2 inverse.
+already a positive prefix.  cokernel_invariants reads only the
+diagonal: after one row Hermite pass on A's bare rows it splits off each
+pivot 1 with its row and column, and the Smith reduction of the core
+left carries neither U nor V.  kernel_basis stops after its first two
+passes.  No matrix is ever inverted here: the one inverse the package
+needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
 
 rank, row_echelon and kills_kernel(A, v, 0) read only A's rational row
 space, so they eliminate over Q instead, with exact integers: one
@@ -31,11 +32,15 @@ its entry x and g = gcd(p, x), and divides a scaled row by its content,
 the gcd of its entries (von zur Gathen and Gerhard, Modern Computer
 Algebra, 6.2).  It runs none of the Euclid rounds that make the
 Hermite sweep's entries grow: on the relator condition matrix of PSL2(Z)
-at n = 150 the largest entry has 4030 bits there and 103 bits here.
+at n = 150 the largest entry has 4030 bits there and 103 bits here.  It
+visits the columns lightest first, by the bit lengths of their entries,
+so the sparse unit columns of rho(S) and rho(W) are pivoted before the
+binomial columns of rho(T), which most dependent rows no longer reach;
+its rows are in echelon form under that column order.
 kills_kernel(A, v, 0) asks whether v kills A's kernel, that is, lies in
-A's rational row space: it reduces v the same way against those rows
-and builds no kernel basis; with a modulus m != 0 it pairs v with
-kernel_basis(A).
+A's rational row space: it reduces v the same way against those rows,
+in pivot order, and builds no kernel basis; with a modulus m != 0 it
+pairs v with kernel_basis(A).
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -331,7 +336,8 @@ def _echelon(rows, n):
 
     Entries past column n receive the same row operations, so reducing
     [A | I] leaves the unimodular transform in the appended block.  Pivots
-    are chosen from the first n columns alone.  Returns the rank.
+    are chosen from the first n columns alone.  Returns the pivot columns,
+    as _forward does.
 
     The forward sweep never reads a row again once it holds a pivot, so
     making each pivot positive and reducing the rows above it can wait for
@@ -350,7 +356,7 @@ def _echelon(rows, n):
             if q:
                 for k, x in pivot:
                     row[k] -= q * x
-    return len(pivots)
+    return pivots
 
 
 def _forward(rows, n):
@@ -397,39 +403,47 @@ def _forward(rows, n):
 def _rational_forward(rows, n):
     """Clear below each pivot of the first n columns of rows over Q, in place.
 
-    Returns the pivot columns, as _forward does, but every step is an
-    invertible rational row operation rather than a unimodular one: the
-    rows keep A's rational row space and kernel, not its row lattice.
-    The pivot is the first entry of least absolute value in its column.
-    Each row below with entry x there becomes a*row - c*pivot row, for
-    g = gcd(p, x), a = p/g > 0 and c = x/g, so one pass clears the
-    column; a row scaled by a != 1 is divided by its content.
+    Returns the pivot columns: row r holds the pivot in column pivots[r],
+    every later row is 0 there, and the rows past the last pivot vanish
+    in the first n columns.  Every step is an invertible rational row
+    operation rather than a unimodular one: the rows keep A's rational
+    row space and kernel, not its row lattice.
+
+    Columns are visited lightest first, by the sum of the bit lengths of
+    their entries, taken once (ties in index order), so pivot columns
+    need not rise.  The pivot is the first entry of least absolute value in
+    its column.  Each row below with entry x there becomes
+    a*row - c*pivot row, for g = gcd(p, x), a = p/g > 0 and c = x/g, so
+    one pass clears the column; a row scaled by a != 1 is divided by its
+    content.
     """
     m = len(rows)
+    if not m:
+        return []
+    weight = [sum(map(int.bit_length, filter(None, col)))
+              for col in zip(*rows)]
     pivots = []
-    for j in range(n):
+    for j in sorted(range(n), key=weight.__getitem__):
         r = len(pivots)
         if r >= m:
             break
-        best, bi = 0, -1
-        for i in range(r, m):
-            x = rows[i][j]
-            if x:
-                x = abs(x)
-                if not best or x < best:
-                    best, bi = x, i
-                    if x == 1:
-                        break
-        if not best:
+        hits = [i for i in range(r, m) if rows[i][j]]
+        if not hits:
             continue
+        bi = min(hits, key=lambda i: abs(rows[i][j]))
         rows[r], rows[bi] = rows[bi], rows[r]
+        pivots.append(j)
+        if len(hits) == 1:
+            continue
         p = rows[r][j]
         pivot = [(k, x) for k, x in enumerate(rows[r]) if x]
-        for i in range(r + 1, m):
+        for i in hits:
+            if i == bi:
+                continue
+            if i == r:  # the swap moved row r to bi
+                i = bi
             row = rows[i]
             x = row[j]
-            if not x:
-                continue
             g = gcd(p, x)
             a, c = p // g, x // g
             if a < 0:
@@ -443,7 +457,6 @@ def _rational_forward(rows, n):
                 if g > 1:
                     row = [y // g for y in row]
                 rows[i] = row
-        pivots.append(j)
     return pivots
 
 
@@ -533,9 +546,11 @@ def rank(A):
 
 
 def row_echelon(A):
-    """Integer rows in row echelon form spanning A's rational row space.
+    """Integer rows spanning A's rational row space, in echelon form under
+    the column order the sweep picks.
 
-    Their pivots rise strictly, their count is rank(A), and
+    Each row has a pivot column where every later row is 0, but pivot
+    columns need not rise.  Their count is rank(A), and
     (row_echelon(A) * B).is_zero() exactly when (A * B).is_zero().  They
     need not span A's row lattice: they come from A by invertible
     rational row operations, not unimodular ones.  The rows above each
@@ -563,7 +578,7 @@ def kernel_basis(A):
     """
     n = A.cols
     rows = [list(row) for row in A.data]
-    r = _echelon(rows, n)
+    r = len(_echelon(rows, n))
     st = [[row[j] for row in rows[:r]] + [int(i == j) for i in range(n)]
           for j in range(n)]
     _echelon(st, r)
@@ -585,8 +600,9 @@ def kills_kernel(A, v, m):
     m = 0 asks for v.x = 0 exactly.  That holds exactly when v lies in
     the rational row space of A, the orthogonal complement of its kernel:
     v is reduced fraction-free against the rows row_echelon(A) returns,
-    in pivot order, is divided by its content after each step to keep it
-    small, and must reduce to zero.  No kernel basis is built.
+    in pivot order, along each row's nonzero entries, is divided by its
+    content after each step that scaled it, and must reduce to zero.  No
+    kernel basis is built.
     For m != 0 the test is kernel_basis(A)^T v = 0 (mod m): that basis
     spans the whole integer kernel, so its columns are enough.
     """
@@ -597,18 +613,22 @@ def kills_kernel(A, v, m):
         return all(x % m == 0 for x in kernel_basis(A).transpose().mulvec(v))
     rows = [list(row) for row in A.data]
     for row, j in zip(rows, _rational_forward(rows, A.cols)):
-        if not v[j]:
+        x = v[j]
+        if not x:
             continue
-        g = gcd(row[j], v[j])
-        a, c = row[j] // g, v[j] // g
+        g = gcd(row[j], x)
+        a, c = row[j] // g, x // g
+        if a < 0:
+            a, c = -a, -c
         if a != 1:
-            v = [a * x for x in v]
-        for k in range(j, A.cols):
-            if row[k]:
-                v[k] -= c * row[k]
-        g = gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
+            v = [a * y for y in v]
+        for k, y in enumerate(row):
+            if y:
+                v[k] -= c * y
+        if a != 1:
+            g = gcd(*v)
+            if g > 1:
+                v = [y // g for y in v]
     return not any(v)
 
 
@@ -673,9 +693,25 @@ class AbelianInvariants:
 
 
 def cokernel_invariants(A):
-    """Invariants of Z^rows / A Z^cols, off a Smith form with no transform."""
-    diag = [d for d in _smith(A, False).diagonal() if d]
-    return AbelianInvariants(A.rows - len(diag), [d for d in diag if d > 1])
+    """Invariants of Z^rows / A Z^cols, off a Smith form with no transform.
+
+    One row Hermite pass comes first.  A pivot 1 at (r, j) then has
+    column j equal to e_r, since the rows above it are reduced modulo 1
+    and the rows below vanish there, so column steps by column j clear
+    row r and touch nothing else: each such pivot splits off a Z/1 with
+    its row and column.  Only the core left, the other pivot rows on the
+    other columns, goes through the Smith reduction.
+    """
+    rows = [list(row) for row in A.data]
+    pivots = _echelon(rows, A.cols)
+    units = {j for row, j in zip(rows, pivots) if row[j] == 1}
+    keep = [k for k in range(A.cols) if k not in units]
+    core = [[row[k] for k in keep] for row, j in zip(rows, pivots)
+            if j not in units]
+    diag = [d for d in _smith(IntMatrix._of(core, len(keep)), False)
+            .diagonal() if d]
+    return AbelianInvariants(A.rows - len(units) - len(diag),
+                             [d for d in diag if d > 1])
 
 
 def quotient_invariants(K, B):

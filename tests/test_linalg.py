@@ -452,16 +452,19 @@ def deficient_matrices(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(a=st.one_of(int_matrices(), deficient_matrices()), data=st.data())
 def test_row_echelon(a, data):
-    # one nonzero row per unit of rank, pivots strictly rising, spanning
-    # the rational row space of a (its row lattice is not promised), so
-    # that E*b = 0 exactly when A*b = 0; sympy is the oracle
+    # one nonzero row per unit of rank, in echelon form under the column
+    # order the sweep picks (each row has a pivot column where every
+    # later row is 0; pivot columns need not rise), spanning the rational
+    # row space of a (its row lattice is not promised), so that E*b = 0
+    # exactly when A*b = 0; sympy is the oracle
     e = row_echelon(a)
     assert e.cols == a.cols
     kernel = sym(a).nullspace()
     r = a.cols - len(kernel)
     assert e.rows == rank(a) == r
-    leads = [next(j for j, x in enumerate(row) if x) for row in e.data]
-    assert leads == sorted(set(leads))
+    for i, row in enumerate(e.data):
+        assert any(x and not any(later[j] for later in e.data[i + 1:])
+                   for j, x in enumerate(row))
     # a's rows and e's together have a's rank, so e spans a's row space
     assert a.cols - len(sym(vstack([a, e])).nullspace()) == r
     # b is a combination of sympy's rational kernel vectors scaled to
@@ -498,6 +501,38 @@ def test_kills_kernel_exactly_on_the_row_space(a, data):
     kills = all(sum(x * y for x, y in zip(v, n)) == 0
                 for n in sym(a).nullspace())
     assert kills_kernel(a, v, 0) == kills
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """U*D*V with D's diagonal drawn from 1, -1, 2, 3, 6 and 0, and U, V
+    unimodular: upper unitriangular, U's rows shuffled.  A Hermite pass
+    then meets unit pivots with entries above them and to their right."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    diag = draw(st.lists(st.sampled_from((1, -1, 2, 3, 6, 0)),
+                         min_size=min(rows, cols), max_size=min(rows, cols)))
+    d = IntMatrix([[diag[i] if i == j else 0 for j in range(cols)]
+                   for i in range(rows)], cols=cols)
+    u = draw(st.permutations(unitriangular(draw, rows).data))
+    return IntMatrix(u, cols=rows) * d * unitriangular(draw, cols)
+
+
+def unitriangular(draw, n):
+    return IntMatrix([[int(i == j) if j <= i else draw(st.integers(-3, 3))
+                       for j in range(n)] for i in range(n)], cols=n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.one_of(unit_heavy_matrices(), deficient_matrices(),
+                   st.sampled_from([IntMatrix.zeros(r, c)
+                                    for r in range(3) for c in range(3)])))
+def test_cokernel_invariants_match_sympy(a):
+    # unit pivots split off after one Hermite pass; sympy's invariant
+    # factors of the whole matrix are the oracle, zero rows past the rank
+    # counting towards the free rank
+    facs = sym_invariant_factors(a) if a.rows and a.cols else []
+    assert cokernel_invariants(a) == AbelianInvariants(
+        a.rows - len(facs), [d for d in facs if d > 1])
 
 
 class TestSmithWithoutU:
