@@ -20,9 +20,9 @@ its leading rows, so the nonzero entries of the final diagonal are
 already a positive prefix.  cokernel_invariants reads only the
 diagonal: after one row Hermite pass on A's bare rows it splits off each
 pivot 1 with its row and column, and the Smith reduction of the core
-left carries neither U nor V.  kernel_basis stops after its first two
-passes.  No matrix is ever inverted here: the one inverse the package
-needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
+left carries neither U nor V.  kernel_basis stops after a row pass and
+a column pass's forward sweep.  No matrix is ever inverted here: the one
+inverse the package needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
 
 rank, row_echelon and kills_kernel(A, v, 0) read only A's rational row
 space, so they eliminate over Q instead, with exact integers: one
@@ -50,9 +50,10 @@ a_ik * (row k of B) over the nonzero a_ik and the nonzero entries of row
 k (Gustavson, ACM TOMS 4, 1978).  The matrices the package multiplies
 are mostly zeros: rho_n(S) and rho_n(W) are signed permutation matrices,
 rho_n(T) is about half zeros, and the relator condition matrix has whole
-zero blocks.  A product with a signed permutation matrix then costs
-O(d^2), not d^3.  An AffineMap X -> M*X + C lists M's nonzero entries
-once, for maps applied many times, as along the letters of a word.
+zero blocks, which block_rows leaves as the zeros of rows built once.
+A product with a signed permutation matrix then costs O(d^2), not d^3.
+An AffineMap X -> M*X + C lists M's nonzero entries once, for maps
+applied many times, as along the letters of a word.
 
 The public constructor copies its rows and checks every entry.  Matrices
 whose rows linalg has just built itself go through IntMatrix._of, which
@@ -156,7 +157,11 @@ class IntMatrix:
                              self.cols)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        return IntMatrix._of([[x - y for x, y in zip(r, s)]
+                              for r, s in zip(self.data, other.data)],
+                             self.cols)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -256,6 +261,20 @@ def hstack(mats):
         for i in range(rows):
             data[i].extend(m.data[i])
     return IntMatrix._of(data, sum(m.cols for m in mats))
+
+
+def block_rows(blocks, k, d):
+    """Rows of k blocks, each d x d: block (r, g) is blocks[r][g], or zero
+    where that dict has no key g.  A block not d x d or a key outside
+    0..k-1 raises ValueError."""
+    data = [[0] * (k * d) for _ in range(len(blocks) * d)]
+    for r, row in enumerate(blocks):
+        for g, M in row.items():
+            if M.rows != d or M.cols != d or not 0 <= g < k:
+                raise ValueError("bad block %r: %dx%d" % (g, M.rows, M.cols))
+            for acc, src in zip(data[r * d:(r + 1) * d], M.data):
+                acc[g * d:(g + 1) * d] = src
+    return IntMatrix._of(data, k * d)
 
 
 class SmithLattice:
@@ -573,15 +592,16 @@ def kernel_basis(A):
     the transform rows past r.  Later passes never change or move those
     rows: their S block is zero, so they are never a pivot and never
     reduced; pivot swaps stay below the rank; and the divisibility repair
-    touches only indices below the rank.  H's zero rows past r are left out
-    of H^T, as zero columns are never a pivot.
+    touches only indices below the rank, as does the column pass's own
+    back-reduction, so that pass ends at its forward sweep.  H's zero rows
+    past r are left out of H^T, as zero columns are never a pivot.
     """
     n = A.cols
     rows = [list(row) for row in A.data]
     r = len(_echelon(rows, n))
     st = [[row[j] for row in rows[:r]] + [int(i == j) for i in range(n)]
           for j in range(n)]
-    _echelon(st, r)
+    _forward(st, r)
     cols = []
     for row in st[r:]:
         c = row[r:]

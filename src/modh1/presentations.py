@@ -27,7 +27,7 @@ word, and one check, _check_relators, reads relators on 2x2 values.
 
 from __future__ import annotations
 
-from .linalg import AffineMap, IntMatrix, hstack, vstack
+from .linalg import AffineMap, IntMatrix, block_rows
 from .polyrep import GEN_S, GEN_T, GEN_W, Mat2, rho_matrix
 
 
@@ -58,7 +58,7 @@ class Word:
                 raise ValueError("unknown generator %r" % name)
             g = index[name]
             sign = 1 if power > 0 else -1
-            letters.extend((g, sign) for _ in range(abs(power)))
+            letters += [(g, sign)] * abs(power)
         return cls(letters)
 
     def format(self, generators):
@@ -171,10 +171,13 @@ class Overgroup:
 
 
 def evaluate_word(word, matrices):
-    """Evaluate a word in a list of Mat2 values."""
+    """Evaluate a word in a list of Mat2 values, each inverse taken once."""
+    inverses = {}
     out = Mat2.identity()
     for g, s in word.letters:
-        out = out * (matrices[g] if s == 1 else matrices[g].inv())
+        if s == -1 and g not in inverses:
+            inverses[g] = matrices[g].inv()
+        out = out * (matrices[g] if s == 1 else inverses[g])
     return out
 
 
@@ -233,16 +236,23 @@ def fox_jacobian(words, rep):
     b(g) enters with rho of the prefix before it, b(g^-1) with minus rho
     of the prefix through it.  rho_n is a homomorphism, so each term is
     rep.rho of the prefix's 2x2 value: no (n + 1)-square product is formed.
+    Each 2x2 inverse is taken once; a block grows by one + or - per letter.
     """
     matrices = rep.assignment.matrices
+    inverses = {}
     out = []
     for word in words:
         blocks = {}
         prefix = Mat2.identity()
         for g, s in word.letters:
-            nxt = prefix * (matrices[g] if s == 1 else matrices[g].inv())
-            term = rep.rho(prefix) if s == 1 else -rep.rho(nxt)
-            blocks[g] = blocks[g] + term if g in blocks else term
+            if s == -1 and g not in inverses:
+                inverses[g] = matrices[g].inv()
+            nxt = prefix * (matrices[g] if s == 1 else inverses[g])
+            term = rep.rho(prefix if s == 1 else nxt)
+            if g in blocks:
+                blocks[g] = blocks[g] + term if s == 1 else blocks[g] - term
+            else:
+                blocks[g] = term if s == 1 else -term
             prefix = nxt
         out.append(blocks)
     return out
@@ -339,18 +349,13 @@ def _check_relators(presentation, rep):
 def relator_condition_matrix(presentation, rep):
     """The linear conditions a cocycle's generator values must satisfy.
 
-    Block column g of relator row r is the Fox Jacobian block J_g of r; the
-    stacked matrix has shape (#relators * d) x (#generators * d) and its
-    integer kernel is Z^1.
+    Block column g of relator row r is the Fox Jacobian block J_g of r,
+    laid by block_rows into rows zeroed once; the matrix has shape
+    (#relators * d) x (#generators * d) and its integer kernel is Z^1.
 
     Raises ValueError when the representation does not kill some relator,
     e.g. for an odd degree action through a projective presentation.
     """
     _check_relators(presentation, rep)
-    k = len(presentation.generators)
-    d = rep.n + 1
-    zero = IntMatrix.zeros(d, d)
-    rows = [IntMatrix([], cols=k * d)]
-    for blocks in fox_jacobian(presentation.relators, rep):
-        rows.append(hstack([blocks.get(g, zero) for g in range(k)]))
-    return vstack(rows)
+    return block_rows(fox_jacobian(presentation.relators, rep),
+                      len(presentation.generators), rep.n + 1)

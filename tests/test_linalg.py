@@ -2,7 +2,7 @@ import random
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import invariant_factors
@@ -12,6 +12,7 @@ from modh1.linalg import (
     AffineMap,
     IntMatrix,
     _smith,
+    block_rows,
     cokernel_invariants,
     hstack,
     kernel_basis,
@@ -69,6 +70,9 @@ def test_matrix_basics():
     assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
     assert vstack([a, b]).rows == 4
     assert hstack([a, b]).cols == 4
+    for op in (a.__add__, a.__sub__):
+        with pytest.raises(ValueError):
+            op(IntMatrix([[1, 2]]))
     assert IntMatrix.from_columns([[1, 3], [2, 4]]) == a
 
 
@@ -163,6 +167,23 @@ def test_affine_map_matches_triple_loop(data):
         AffineMap(IntMatrix.zeros(m + 1, k), C)
 
 
+def test_block_rows_match_stacked_zero_blocks():
+    # absent keys are zero blocks, and no relators give 0 rows; a block of
+    # the wrong shape, or a key outside 0..k-1, raises ValueError
+    a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[0, -5], [6, 0]])
+    zero = IntMatrix.zeros(2, 2)
+    assert block_rows([{2: a, 0: b}, {}, {1: a}], 3, 2) == vstack([
+        hstack([b, zero, a]), hstack([zero] * 3), hstack([zero, a, zero])])
+    assert block_rows([], 3, 2) == IntMatrix([], cols=6)
+    for bad in (IntMatrix([[1, 2]]), IntMatrix([[1], [2]]),
+                IntMatrix.zeros(3, 3)):
+        with pytest.raises(ValueError):
+            block_rows([{1: a}, {0: bad}], 3, 2)
+    for g in (-1, 3):
+        with pytest.raises(ValueError):
+            block_rows([{g: a}], 3, 2)
+
+
 RESULTS = {
     "affine": lambda a, b: AffineMap(a, b)(a),
     "a * b": lambda a, b: a * b,
@@ -175,6 +196,7 @@ RESULTS = {
     "transpose": lambda a, b: a.transpose(),
     "vstack": lambda a, b: vstack([a, b]),
     "hstack": lambda a, b: hstack([a, b]),
+    "block_rows": lambda a, b: block_rows([{0: a, 1: b}, {1: a}], 2, 2),
     "identity": lambda a, b: IntMatrix.identity(2),
     "zeros": lambda a, b: IntMatrix.zeros(2, 2),
     "row_echelon": lambda a, b: row_echelon(a),
@@ -553,9 +575,11 @@ class TestSmithWithoutU:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(a=st.one_of(int_matrices(), deficient_matrices()))
+    @example(a=IntMatrix([[-3, -2, 1, 0], [0, 0, -1, -1]]))
     def test_kernel_basis_unchanged(self, a):
         # as before: the columns of the full form's V past the rank, each
-        # with its first nonzero entry made positive
+        # with its first nonzero entry made positive; the example's kernel
+        # basis changes if the row pass skips its back-reduction
         full = smith_normal_form(a)
         expected = []
         for j in range(full.rank(), a.cols):

@@ -313,13 +313,20 @@ class TestFoxJacobian:
             assert relator_condition_matrix(pres, rep) == expected
 
     def test_relator_matrix_matches_reference_on_lift(self):
+        # K x <eps>, and the free subgroup itself, whose matrix has no rows
         lift = lift_to_sl2(schreier_free_basis(23))
         keps = lift.overgroups[0]
         assert keps.presentation.name == "K x <eps>"
+        k = len(lift.presentation.generators)
         for n in range(5):
-            rep = keps.assignment.rep(n)
-            assert relator_condition_matrix(keps.presentation, rep) == (
-                reference_relator_matrix(keps.presentation, rep))
+            for pres, assign in ((keps.presentation, keps.assignment),
+                                 (lift.presentation, lift.assignment)):
+                rep = assign.rep(n)
+                assert relator_condition_matrix(pres, rep) == (
+                    reference_relator_matrix(pres, rep))
+            R = relator_condition_matrix(lift.presentation,
+                                         lift.assignment.rep(n))
+            assert (R.rows, R.cols) == (0, k * (n + 1))
 
 
 def test_coboundaries_satisfy_relator_conditions():
