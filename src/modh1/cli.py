@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
 from . import __version__
@@ -175,6 +174,9 @@ def _pmap(fn, items, jobs):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # deferred: the pool's modules cost about 2 MB resident, which a
+    # single-process run does not pay
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

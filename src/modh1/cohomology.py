@@ -28,6 +28,7 @@ import json
 from .linalg import (
     AbelianInvariants,
     IntMatrix,
+    _primitive_kernel,
     cokernel_invariants,
     hstack,
     kernel_basis,
@@ -265,19 +266,40 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
 
     Each overgroup is a presentations.Overgroup.  For each overgroup L the
     membership question "is the cocycle, modulo coboundaries, the
-    restriction of a cocycle on L" is a lattice membership problem.  When
-    it is solvable the cocycle extends and ClaimRefused is raised; otherwise
-    a Smith-form functional refuting membership is stored.
+    restriction of a cocycle on L" is a lattice membership problem in the
+    span of M = [RZ | B_sub], RZ the restricted Z^1 of L.  One exact
+    functional u serves every overgroup it refutes: among the primitive
+    vectors of ker(B_sub^T), one per free column of its rational echelon,
+    the one with u.b != 0 and the smallest largest entry.  For each L, u is
+    tested the way the re-check tests it, with the functional pulled back
+    to L in R_L's row space, so that u.M = 0 and b is outside even the
+    rational span of M; no Z^1 basis of L is built.  An overgroup u does
+    not refute (a class of finite order modulo B_sub, say) gets a
+    refutation read off the Smith form of M, with a modulus when the class
+    is torsion there; when b lies in M's lattice the cocycle extends and
+    ClaimRefused is raised.
     The certificate re-verifies by pure integer arithmetic from its own data.
     """
     sub_rep, payload = _claim("nonextendable", sub_presentation,
                               sub_assignment, n, cocycle, overgroups)
     B_sub = coboundary_matrix(sub_rep)
+    target = cocycle.stacked()
+    coboundaries = _kills(B_sub)
+    u = _smallest_pairing(_primitive_kernel(B_sub.transpose()), target)
     payload["overgroups"] = entries = []
     for og in overgroups:
-        amb_rep = og.assignment.rep(n)
-        RZ = restriction_image_matrix(og.presentation, amb_rep, og.words)
-        refutation = _refutation(hstack([RZ, B_sub]), cocycle.stacked())
+        refutation = None
+        if u is not None:
+            restricted = _restriction_test(og.presentation, og.assignment,
+                                           og.words, n)
+            ok, pairing = _refutes(u, 0, target, [coboundaries, restricted])
+            if ok:
+                refutation = {"functional": u, "modulus": 0,
+                              "pairing": _decimal_or_hex(pairing)}
+        if refutation is None:
+            RZ = restriction_image_matrix(og.presentation,
+                                          og.assignment.rep(n), og.words)
+            refutation = _refutation(hstack([RZ, B_sub]), target)
         if refutation is None:
             raise ClaimRefused("the class extends to overgroup %r" % og.name)
         entry = _presentation_payload(og.presentation, og.assignment)
@@ -286,6 +308,25 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
                                 for w in og.words])
         entries.append(entry)
     return Certificate(payload)
+
+
+def _smallest_pairing(vectors, target):
+    # the first of the vectors with the least largest |entry| among those
+    # that pair nonzero with target; None when every one pairs to 0
+    paired = [u for u in vectors if sum(x * y for x, y in zip(u, target))]
+    return min(paired, key=lambda u: max(map(abs, u)), default=None)
+
+
+def _restriction_test(presentation, assignment, words, n):
+    # the test of whether u.RZ = 0 (mod m), RZ the restriction to words of
+    # a Z^1 basis of the overgroup: u.RZ is v.Z for the functional v pulled
+    # back to the overgroup, so neither Z^1 nor RZ is built, and rho_n and
+    # the relator matrix only when the test runs
+    def test(u, m):
+        rep = assignment.rep(n)
+        return kills_kernel(relator_condition_matrix(presentation, rep),
+                            pull_back_functional(words, rep, u), m)
+    return test
 
 
 def certify_noncoboundary(presentation, assignment, n, cocycle):
@@ -312,20 +353,21 @@ def _claim(kind, presentation, assignment, n, cocycle, overgroups=()):
 
 CERTIFICATE_FORMAT = "modh1-certificate-1"
 
-# Re-checking a degree n certificate takes a forward echelon, or a kernel
-# basis when the refutation has a modulus, of the overgroup's stacked
-# (n + 1)-square relator blocks, at a cost growing about as n^6:
-# `verify-certificate` on a `witness --kind ba:120,1` certificate (gl2
-# overgroup) takes about 4 s on a 2-vCPU Xeon.  The CLI writes no higher
-# degree.
+# Re-checking a degree n certificate takes a forward echelon of the
+# overgroup's stacked (n + 1)-square relator blocks, or a kernel basis of
+# them for an overgroup refutation with a modulus, which the CLI writes
+# for no witness kind: `verify-certificate` on a `witness --kind
+# ba:120,1` certificate (gl2 overgroup) takes about 0.3 s on a 2-vCPU
+# Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
 
 # Each letter of a relator costs at most one rho_n of a 2x2 prefix, its
 # Fox Jacobian term, about (n + 1)^2 entry products, built once per Rep.
-# In the re-check each letter of an embedding word costs one product of a
-# row vector with an (n + 1)-square matrix; writing the certificate, one
-# product of such a matrix with the restricted Z^1 basis, a block of n + 1
-# rows.  A generator used inverted there adds one rho_n of its 2x2 inverse.
+# Writing and re-checking, each letter of an embedding word costs one
+# product of a row vector with an (n + 1)-square matrix; in the writer's
+# fallback, for a class no kernel functional refutes, one product of such
+# a matrix with the restricted Z^1 basis, a block of n + 1 rows.  A
+# generator used inverted there adds one rho_n of its 2x2 inverse.
 # The budget on letters times (n + 1)^3 is that of `witness --kind
 # ba:120,1`, the costliest certificate the CLI writes: 30 letters (sl2 and
 # gl2 relators, embedding words s, t).
@@ -480,14 +522,10 @@ class Certificate:
             check("%s embedding" % label, ok)
             if not ok:
                 continue
-
-            def restricted(u, m):  # u.RZ = 0 (mod m) as v.Z, Z^1 not built
-                rep = assign.rep(n)
-                return kills_kernel(relator_condition_matrix(pres, rep),
-                                    pull_back_functional(words, rep, u), m)
             self._verify_refutation(check, "%s refutation" % label,
                                     og["refutation"], b.stacked(),
-                                    [coboundaries, restricted])
+                                    [coboundaries, _restriction_test(
+                                        pres, assign, words, n)])
 
     @staticmethod
     def _verify_refutation(check, label, ref, target, tests):

@@ -40,7 +40,9 @@ its rows are in echelon form under that column order.
 kills_kernel(A, v, 0) asks whether v kills A's kernel, that is, lies in
 A's rational row space: it reduces v the same way against those rows,
 in pivot order, and builds no kernel basis; with a modulus m != 0 it
-pairs v with kernel_basis(A).
+pairs v with kernel_basis(A).  _primitive_kernel reads one primitive
+integer vector of A's rational kernel per free column off the same
+rows, by fraction-free back-substitution in reverse pivot order.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -612,6 +614,54 @@ def kernel_basis(A):
                 break
         cols.append(c)
     return IntMatrix.from_columns(cols, rows=n)
+
+
+def _primitive_kernel(A):
+    """One primitive integer vector of ker(A) per free column, as lists.
+
+    The free columns are those _rational_forward leaves without a pivot,
+    taken in index order.  Free column f's vector is 0 at the other free
+    columns and positive at f, and its pivot entries are solved from the
+    echelon rows by fraction-free back-substitution in reverse pivot
+    order: row r meets only f and the pivots past r, so its pivot entry
+    x_j solves p*x_j + s = 0, and for g = gcd(p, s) the vector is scaled
+    by |p|/g, x_j set to -sign(p)*s/g, and a scaled vector divided by its
+    content.  The vectors span A's rational kernel, not always its integer
+    kernel; each one holds at most rank(A) + 1 nonzero entries.
+    """
+    n = A.cols
+    rows = [list(row) for row in A.data]
+    pivots = _rational_forward(rows, n)
+    steps = [(j, row[j], [(k, x) for k, x in enumerate(row)
+                          if x and k != j])
+             for row, j in zip(reversed(rows[:len(pivots)]),
+                               reversed(pivots))]
+    pivot_set = set(pivots)
+    out = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        x = {f: 1}
+        for j, p, row in steps:
+            s = sum(y * x[k] for k, y in row if k in x)
+            if not s:
+                continue
+            g = gcd(p, s)
+            a, c = p // g, s // g
+            if a < 0:
+                a, c = -a, -c
+            if a != 1:
+                x = {k: a * y for k, y in x.items()}
+            x[j] = -c
+            if a != 1:
+                g = gcd(*x.values())
+                if g > 1:
+                    x = {k: y // g for k, y in x.items()}
+        v = [0] * n
+        for k, y in x.items():
+            v[k] = y
+        out.append(v)
+    return out
 
 
 def kills_kernel(A, v, m):

@@ -22,7 +22,9 @@ A Rep keeps its MatrixAssignment and one table of rho_n keyed by 2x2 value,
 and rho_n is a homomorphism, so rho(x)^-1, rho of a relator and each Fox
 block term, rho of a prefix, are read from that table: each value is built
 once per Rep, no (n + 1)-square matrix is inverted or multiplied along a
-word, and one check, _check_relators, reads relators on 2x2 values.
+word, and one check, _check_values, reads relators on 2x2 values: from
+the Fox walk's last prefix for the relator condition matrix, so that
+each relator is walked once there.
 """
 
 from __future__ import annotations
@@ -229,10 +231,11 @@ def builtin(name):
 
 
 def fox_jacobian(words, rep):
-    """The Fox Jacobian of each word, evaluated in rep.
+    """The Fox Jacobian of each word, evaluated in rep, and its 2x2 value.
 
-    Returns one dict per word, mapping each generator g that occurs in w
-    to the matrix J_g with b(w) = sum_g J_g b(g) for every cocycle b.
+    Returns one pair (blocks, value) per word: blocks maps each generator
+    g that occurs in w to the matrix J_g with b(w) = sum_g J_g b(g) for
+    every cocycle b, and value is w's 2x2 value, the walk's last prefix.
     b(g) enters with rho of the prefix before it, b(g^-1) with minus rho
     of the prefix through it.  rho_n is a homomorphism, so each term is
     rep.rho of the prefix's 2x2 value: no (n + 1)-square product is formed.
@@ -254,7 +257,7 @@ def fox_jacobian(words, rep):
             else:
                 blocks[g] = term if s == 1 else -term
             prefix = nxt
-        out.append(blocks)
+        out.append((blocks, prefix))
     return out
 
 
@@ -336,11 +339,17 @@ def pull_back_functional(words, rep, u):
 
 
 def _check_relators(presentation, rep):
-    # ValueError unless rho_n kills each relator: rep.rho of its 2x2
-    # value, read only when that value is not the identity
+    # ValueError unless rho_n kills each relator
+    _check_values(presentation, rep,
+                  [evaluate_word(rel, rep.assignment.matrices)
+                   for rel in presentation.relators])
+
+
+def _check_values(presentation, rep, values):
+    # ValueError unless rho_n kills each relator, given its 2x2 value:
+    # rep.rho of the value, read only when it is not the identity
     eye = IntMatrix.identity(rep.n + 1)
-    for rel in presentation.relators:
-        value = evaluate_word(rel, rep.assignment.matrices)
+    for rel, value in zip(presentation.relators, values):
         if not value.is_identity() and rep.rho(value) != eye:
             raise ValueError("representation does not satisfy relator %s"
                              % rel.format(presentation.generators))
@@ -352,10 +361,13 @@ def relator_condition_matrix(presentation, rep):
     Block column g of relator row r is the Fox Jacobian block J_g of r,
     laid by block_rows into rows zeroed once; the matrix has shape
     (#relators * d) x (#generators * d) and its integer kernel is Z^1.
+    The Fox walk ends at each relator's 2x2 value, so the relators are
+    checked from it and not evaluated again.
 
     Raises ValueError when the representation does not kill some relator,
     e.g. for an odd degree action through a projective presentation.
     """
-    _check_relators(presentation, rep)
-    return block_rows(fox_jacobian(presentation.relators, rep),
+    jacobians = fox_jacobian(presentation.relators, rep)
+    _check_values(presentation, rep, [value for _, value in jacobians])
+    return block_rows([blocks for blocks, _ in jacobians],
                       len(presentation.generators), rep.n + 1)

@@ -9,6 +9,7 @@ finite.  That route never touches the presentation machinery.
 """
 
 import json
+from collections import Counter
 from functools import lru_cache
 from math import prod
 
@@ -22,6 +23,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import modh1.cohomology as cohomology
 import modh1.linalg as linalg
+import modh1.presentations as presentations
 from modh1.cli import main
 from modh1.cohomology import (
     _is_cocycle,
@@ -496,7 +498,7 @@ def _restricted(jacobian, Z, d):
     # The Fox-Jacobian route the block walk replaced: row block i is the
     # sum over g of J_g(w_i) times row block g of Z.
     rows = []
-    for blocks in jacobian:
+    for blocks, _ in jacobian:
         part = IntMatrix.zeros(d, Z.cols)
         for g, J in blocks.items():
             part = part + J * IntMatrix(Z.data[g * d:(g + 1) * d], cols=Z.cols)
@@ -673,8 +675,9 @@ class TestTransportWalk:
 # The report written, before the refutation checks were ordered cheapest
 # first, for a free-lift:11 certificate at degree 1 with one overgroup's
 # functional zeroed or cut short; each overgroup's checks are relators,
-# embedding, refutation.
-PASSED = "u.M = 0, u.b != 0 (mod 0)", "u.b = 1"
+# embedding, refutation.  The genuine functional, the smallest vector of
+# ker(B_sub^T) that pairs nonzero with the unit cocycle, pairs to 2.
+PASSED = "u.M = 0, u.b != 0 (mod 0)", "u.b = 2"
 SEED_REPORTS = {
     "zeroed": (False, "u.M = 0, u.b != 0 (mod 0)", "u.b = 0"),
     "short": (False, "functional length 6", 5),
@@ -758,6 +761,25 @@ class TestCheapestFirst:
         assert [c["name"] for c in failed] == ["%s refutation" % label]
         assert failed[0]["actual"] == "u.b = %d" % ref["pairing"]
         assert relator_calls == [payload["overgroups"][1 - tampered]["name"]]
+
+    def test_each_overgroup_relator_evaluated_once(self, lift_payload,
+                                                   monkeypatch):
+        # the "<name> relators" check evaluates each relator on 2x2
+        # values; the relator matrix reads rho_n's check off the end of
+        # its Fox walk and evaluates none again (K_p has no relators)
+        evaluated = Counter()
+        real = presentations.evaluate_word
+
+        def spy(word, matrices):
+            evaluated[word] += 1
+            return real(word, matrices)
+
+        monkeypatch.setattr(presentations, "evaluate_word", spy)
+        assert all(c["pass"] for c in Certificate(lift_payload).verify())
+        relators = Counter(
+            Word.parse(text, og["generators"])
+            for og in lift_payload["overgroups"] for text in og["relators"])
+        assert evaluated == relators
 
     @staticmethod
     def forged_ba(n, exact):
@@ -864,13 +886,16 @@ class TestCertificates:
         with pytest.raises(ClaimRefused, match="the cocycle is a coboundary"):
             certify_noncoboundary(sp, sa, 2, b)
 
-    def test_extending_class_has_no_certificate(self):
-        # b_0 at n = 2 is the restriction of a gl2 class
+    def test_extending_class_has_no_certificate(self, restrictions):
+        # b_0 at n = 2 is the restriction of a gl2 class; it pairs to 0
+        # with every kernel functional, so the writer falls back to the
+        # Smith form of [RZ | B_sub], which finds it in the lattice
         sp, sa = builtin("sl2")
         with pytest.raises(ClaimRefused,
                            match="the class extends to overgroup 'gl2'"):
             certify_nonextendable(sp, sa, 2, make_ba(2, 0),
                                   [self.gl2_overgroup()])
+        assert restrictions == ["gl2"]
 
     def test_noncoboundary_certificate(self):
         gp, ga = builtin("gl2")
@@ -947,6 +972,92 @@ class TestCertificates:
             certify_nonextendable(sp, sa, CERT_MAX_DEGREE, make_ba(2, 1),
                                   [costly])
         assert not isinstance(raised.value, ClaimRefused)
+
+
+PRIMES_11_MOD_12 = (11, 23, 47, 59, 71, 83, 107, 131)
+
+
+@pytest.fixture
+def restrictions(monkeypatch):
+    # the overgroups whose Z^1 basis is restricted, which only the
+    # writer's fallback to the Smith form of [RZ | B_sub] does
+    calls = []
+    real = cohomology.restriction_image_matrix
+
+    def spy(presentation, rep, words):
+        calls.append(presentation.name)
+        return real(presentation, rep, words)
+
+    monkeypatch.setattr(cohomology, "restriction_image_matrix", spy)
+    return calls
+
+
+class TestKernelFunctional:
+    """certify_nonextendable refutes with one vector of ker(B_sub^T)."""
+
+    @staticmethod
+    def assert_exact(cert):
+        refutations = [og["refutation"] for og in cert.payload["overgroups"]]
+        assert [r["modulus"] for r in refutations] == [0] * len(refutations)
+        assert all(c["pass"] for c in cert.verify())
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_ba_classes(self, restrictions, n):
+        sp, sa = builtin("sl2")
+        cert = certify_nonextendable(sp, sa, n, make_ba(n, 1),
+                                     [TestCertificates().gl2_overgroup()])
+        self.assert_exact(cert)
+        [ref] = [og["refutation"] for og in cert.payload["overgroups"]]
+        assert max(map(abs, ref["functional"])) == 1
+        assert restrictions == []
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_ba_functional_refutes_every_multiple(self, n):
+        # u.b_a = a u.b_1 != 0, so b_1's stored functional re-verifies for
+        # each b_a; a modulus m would fail for every a that m divides
+        sp, sa = builtin("sl2")
+        payload = certify_nonextendable(
+            sp, sa, n, make_ba(n, 1),
+            [TestCertificates().gl2_overgroup()]).payload
+        for a in range(2, 11):
+            payload["cocycle"]["values"] = [list(v)
+                                            for v in make_ba(n, a).values]
+            assert all(c["pass"] for c in Certificate(payload).verify())
+
+    @pytest.mark.parametrize("p", PRIMES_11_MOD_12)
+    def test_free_lift_unit_classes(self, restrictions, p):
+        lift = lift_to_sl2(schreier_free_basis(p))
+        for n in (1, 3):
+            unit = [0] * (len(lift.presentation.generators) * (n + 1))
+            unit[0] = 1
+            b = Cocycle.from_stacked(lift.presentation, unit, n + 1)
+            cert = certify_nonextendable(lift.presentation, lift.assignment,
+                                         n, b, lift.overgroups)
+            self.assert_exact(cert)
+            # one functional serves both overgroups
+            first, second = (og["refutation"]
+                             for og in cert.payload["overgroups"])
+            assert first == second
+        assert restrictions == []
+
+    def test_torsion_class_falls_back_to_a_modulus(self, restrictions):
+        # a class of order 12 in H^1(sl2) at n = 4, B*V[:, i]/d_i for the
+        # Smith form of B: every vector of ker(B_sub^T) pairs to 0 with it,
+        # so only the Smith form of [RZ | B_sub] refutes it, modulo 3
+        sp, sa = builtin("sl2")
+        B = coboundary_matrix(sa.rep(4))
+        smith = smith_normal_form(B)
+        [(i, d)] = [(i, d) for i, d in enumerate(smith.diagonal()) if d > 1]
+        assert d == 12
+        b = Cocycle.from_stacked(
+            sp, [x // d for x in B.mulvec(smith.V.column(i))], 5)
+        assert class_order(sp, sa.rep(4), b) == 12
+        cert = certify_nonextendable(sp, sa, 4, b,
+                                     [TestCertificates().gl2_overgroup()])
+        [ref] = [og["refutation"] for og in cert.payload["overgroups"]]
+        assert ref["modulus"] == 3
+        assert all(c["pass"] for c in cert.verify())
+        assert restrictions == ["gl2"]
 
 
 class TestCocycleContainer:

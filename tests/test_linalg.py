@@ -1,5 +1,5 @@
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +11,8 @@ from modh1.linalg import (
     AbelianInvariants,
     AffineMap,
     IntMatrix,
+    _primitive_kernel,
+    _rational_forward,
     _smith,
     block_rows,
     cokernel_invariants,
@@ -523,6 +525,38 @@ def test_kills_kernel_exactly_on_the_row_space(a, data):
     kills = all(sum(x * y for x, y in zip(v, n)) == 0
                 for n in sym(a).nullspace())
     assert kills_kernel(a, v, 0) == kills
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.one_of(int_matrices(), deficient_matrices(),
+                   st.sampled_from([IntMatrix.zeros(r, c)
+                                    for r in range(3) for c in range(3)])))
+def test_primitive_kernel_matches_sympy(a):
+    # one primitive integer vector of ker(a) per free column, spanning the
+    # same rational space as sympy's nullspace: 0 x n, n x 0, rank
+    # deficient, wide and tall shapes
+    vectors = _primitive_kernel(a)
+    kernel = sym(a).nullspace() if a.cols else []
+    assert len(vectors) == len(kernel)
+    for v in vectors:
+        assert len(v) == a.cols
+        assert not any(a.mulvec(v))
+        assert gcd(*v) == 1
+    if vectors:
+        mine = SymMatrix([list(v) for v in vectors]).T
+        assert mine.rank() == len(vectors)
+        assert SymMatrix.hstack(mine, *kernel).rank() == len(vectors)
+
+
+def test_primitive_kernel_with_pivots_out_of_index_order():
+    # the sweep pivots on the light columns 1 and 2 first, and leaves the
+    # 2 above row 1's pivot unreduced; back-substitution from the last
+    # pivot row scales the vector by 3 at free column 0, then solves row 0
+    a = IntMatrix([[4, 1, 2], [8, 0, 3]])
+    rows = [list(row) for row in a.data]
+    assert _rational_forward(rows, 3) == [1, 2]
+    assert rows[0] == [4, 1, 2]
+    assert _primitive_kernel(a) == [[3, 4, -8]]
 
 
 @st.composite

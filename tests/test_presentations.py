@@ -189,8 +189,10 @@ class TestFoxJacobian:
         # J(uv) = J(u) + rho(u) J(v)
         assign, k, n, u, v = data.draw(words_in(group))
         rep = assign.rep(n)
-        ju, jv, juv = fox_jacobian([u, v, u * v], rep)
-        mu = rho_matrix(evaluate_word(u, assign.matrices), n)
+        # each walk ends at its word's 2x2 value
+        (ju, value), (jv, _), (juv, _) = fox_jacobian([u, v, u * v], rep)
+        assert value == evaluate_word(u, assign.matrices)
+        mu = rho_matrix(value, n)
         d = n + 1
         assert jacobian_matrix(juv, k, d) == (
             jacobian_matrix(ju, k, d) + mu * jacobian_matrix(jv, k, d))
@@ -202,7 +204,7 @@ class TestFoxJacobian:
         assign, k, n, u, _ = data.draw(words_in(group))
         rep = assign.rep(n)
         d = n + 1
-        [blocks] = fox_jacobian([u], rep)
+        [(blocks, _)] = fox_jacobian([u], rep)
         assert set(blocks) <= {g for g, _ in u.letters}
         for g in range(k):
             for j in range(d):
@@ -226,7 +228,9 @@ class TestFoxJacobian:
             rep = assign.rep(n)
             for g in range(k):
                 for s in (1, -1):
-                    [blocks] = fox_jacobian([Word([(g, s), (g, -s)])], rep)
+                    [(blocks, value)] = fox_jacobian(
+                        [Word([(g, s), (g, -s)])], rep)
+                    assert value.is_identity()
                     assert jacobian_matrix(blocks, k, n + 1).is_zero()
 
     @pytest.mark.parametrize("group", GROUPS)

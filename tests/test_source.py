@@ -88,6 +88,8 @@ def test_function_local_imports_are_pinned():
         ("congruence.py", "certify_membership_sample", "cohomology"),
         # hashlib loads OpenSSL, about 3.6 MB resident; only samples pay it
         ("congruence.py", "_sample_record", "hashlib"),
+        # the process pool costs about 2 MB resident; only --jobs > 1 pays it
+        ("cli.py", "_pmap", "concurrent.futures"),
     }
     found = set()
     for module, tree in module_trees():
@@ -142,14 +144,19 @@ def test_fox_jacobian_only_builds_the_relator_matrix():
 
 
 def test_certificate_recheck_builds_no_restricted_basis():
-    # writing a certificate needs the restriction RZ of a Z^1 basis of each
-    # overgroup; its re-check tests u.RZ as v.Z, with v pulled back to the
-    # overgroup, and builds neither Z^1 nor RZ
+    # the writer and the re-check test u.RZ as v.Z, with v pulled back to
+    # the overgroup, through one helper that builds neither Z^1 nor RZ;
+    # only the writer's fallback, for a class the kernel functional does
+    # not refute, restricts a Z^1 basis of the overgroup
     callers, _ = callers_and_modules("restriction_image_matrix")
     assert sorted(callers) == [("cohomology.py", "certify_nonextendable"),
                                ("cohomology.py", "restriction_cokernel")]
     callers, _ = callers_and_modules("pull_back_functional")
-    assert callers == [("cohomology.py", "Certificate")]
+    assert callers == [("cohomology.py", "_restriction_test")]
+    callers, named = callers_and_modules("_restriction_test")
+    assert sorted(callers) == [("cohomology.py", "Certificate"),
+                               ("cohomology.py", "certify_nonextendable")]
+    assert named == {"cohomology.py"}
 
 
 def test_one_reading_of_a_saturated_quotient():
