@@ -205,6 +205,7 @@ def _pell_witnesses(g):
     # oracle and would slow the congruence scan down here
     reps, _ = solve_norm_equation(disc, -4 * b * b, filters=filters, cover=0)
     out = []
+    g_inv = g.inv()
     for u, y in reps:
         x, r = divmod(u - m * y, 2 * b)
         if r:
@@ -213,7 +214,7 @@ def _pell_witnesses(g):
         if r:
             raise RuntimeError("congruence filter failed to make z integral")
         witness = Mat2(x, y, z, -x)
-        if witness.det() != 1 or witness * g != g.inv() * witness:
+        if witness.det() != 1 or witness * g != g_inv * witness:
             raise RuntimeError("norm equation solution is not a witness")
         out.append(witness)
     return out

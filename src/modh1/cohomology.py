@@ -312,8 +312,9 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
 
 def _smallest_pairing(vectors, target):
     # the first of the vectors with the least largest |entry| among those
-    # that pair nonzero with target; None when every one pairs to 0
-    paired = [u for u in vectors if sum(x * y for x, y in zip(u, target))]
+    # pairing nonzero with target, on its support; None if every one is 0
+    support = [(i, y) for i, y in enumerate(target) if y]
+    paired = [u for u in vectors if sum(u[i] * y for i, y in support)]
     return min(paired, key=lambda u: max(map(abs, u)), default=None)
 
 
@@ -399,12 +400,12 @@ def certificate_letters(sub_presentation, overgroups=()):
 
 
 def _payload_letters(payload):
-    # certificate_letters of a payload, counted from the text, so that an
-    # exponent such as s^1000000000 is not expanded first
+    # certificate_letters of a payload, counted from the text, parsing only
+    # tokens with ^, so that an exponent like s^1000000000 is not expanded
     texts = list(payload["subgroup"]["relators"])
     for og in payload.get("overgroups", ()):
         texts += og["relators"] + og["embedding"]
-    return sum(abs(int(token.partition("^")[2] or 1))
+    return sum(abs(int(token.partition("^")[2] or 1)) if "^" in token else 1
                for text in texts for token in str.split(text))
 
 

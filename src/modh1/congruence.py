@@ -108,23 +108,24 @@ class CosetTable:
         perm_t_inv = [0] * (p + 1)
         for x, y in enumerate(self.perm_t):
             perm_t_inv[y] = x
-        moves = ((self.perm_s, (_LETTER_S, 1)), (self.perm_t, (_LETTER_T, 1)),
-                 (perm_t_inv, (_LETTER_T, -1)))
-        letters = [None] * (p + 1)
-        letters[p] = ()  # the base point (1:0)
+        moves = ((self.perm_s, Word([(_LETTER_S, 1)])),
+                 (self.perm_t, Word([(_LETTER_T, 1)])),
+                 (perm_t_inv, Word([(_LETTER_T, -1)])))
+        words = [None] * (p + 1)
+        words[p] = Word()  # the base point (1:0)
         queue = [p]
         while queue:
             nxt = []
             for x in queue:
                 for perm, letter in moves:
                     y = perm[x]
-                    if letters[y] is None:
-                        letters[y] = (letter,) + letters[x]
+                    if words[y] is None:
+                        words[y] = letter * words[x]
                         nxt.append(y)
             queue = nxt
-        if None in letters:
+        if None in words:
             raise RuntimeError("action is not transitive")
-        self.transversal = [Word(word) for word in letters]
+        self.transversal = words
 
     def apply(self, g, point):
         """Image of a point under an integer matrix, projectively mod p."""

@@ -624,7 +624,8 @@ def _primitive_kernel(A):
     columns and positive at f, and its pivot entries are solved from the
     echelon rows by fraction-free back-substitution in reverse pivot
     order: row r meets only f and the pivots past r, so its pivot entry
-    x_j solves p*x_j + s = 0, and for g = gcd(p, s) the vector is scaled
+    x_j solves p*x_j + s = 0, with s summed over the vector's nonzero
+    entries, not the row's, and for g = gcd(p, s) the vector is scaled
     by |p|/g, x_j set to -sign(p)*s/g, and a scaled vector divided by its
     content.  The vectors span A's rational kernel, not always its integer
     kernel; each one holds at most rank(A) + 1 nonzero entries.
@@ -632,20 +633,18 @@ def _primitive_kernel(A):
     n = A.cols
     rows = [list(row) for row in A.data]
     pivots = _rational_forward(rows, n)
-    steps = [(j, row[j], [(k, x) for k, x in enumerate(row)
-                          if x and k != j])
-             for row, j in zip(reversed(rows[:len(pivots)]),
-                               reversed(pivots))]
+    steps = list(zip(reversed(pivots), reversed(rows[:len(pivots)])))
     pivot_set = set(pivots)
     out = []
     for f in range(n):
         if f in pivot_set:
             continue
         x = {f: 1}
-        for j, p, row in steps:
-            s = sum(y * x[k] for k, y in row if k in x)
+        for j, row in steps:
+            s = sum(row[k] * y for k, y in x.items())
             if not s:
                 continue
+            p = row[j]
             g = gcd(p, s)
             a, c = p // g, s // g
             if a < 0:

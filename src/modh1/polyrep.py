@@ -12,6 +12,10 @@ basis (column-vector convention) is a homomorphism GL_2(Z) -> GL_{n+1}(Z).
 rho_matrix walks the columns (a X + c Y)^(n-k) (b X + d Y)^k one from the
 next, in O(n^2) entry products for any 2x2 matrix, singular ones included;
 rep_trace reads the diagonal off the same walk.
+
+Mat2(...) checks every entry.  Products, inverses, negations and the
+identity, built here from checked ints, go through _mat2, which does not
+check again; nothing outside this module calls it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class Mat2:
 
     @classmethod
     def identity(cls):
-        return cls(1, 0, 0, 1)
+        return _mat2(1, 0, 0, 1)
 
     @classmethod
     def parse(cls, text):
@@ -63,16 +67,16 @@ class Mat2:
     def inv(self):
         det = self.det()
         if det == 1:
-            return Mat2(self.d, -self.b, -self.c, self.a)
+            return _mat2(self.d, -self.b, -self.c, self.a)
         if det == -1:
-            return Mat2(-self.d, self.b, self.c, -self.a)
+            return _mat2(-self.d, self.b, self.c, -self.a)
         raise ValueError("determinant must be +-1")
 
     def __mul__(self, other):
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        return _mat2(self.a * other.a + self.b * other.c,
+                     self.a * other.b + self.b * other.d,
+                     self.c * other.a + self.d * other.c,
+                     self.c * other.b + self.d * other.d)
 
     def __pow__(self, k):
         if k < 0:
@@ -87,7 +91,7 @@ class Mat2:
         return out
 
     def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _mat2(-self.a, -self.b, -self.c, -self.d)
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.a == other.a
@@ -106,11 +110,17 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def is_identity(self):
-        return self == Mat2.identity()
+        return self.a == self.d == 1 and self.b == self.c == 0
 
     def proj_eq(self, other):
         """Equality in PGL terms, i.e. up to a global sign."""
         return self == other or self == -other
+
+
+def _mat2(a, b, c, d):
+    m = object.__new__(Mat2)  # no entry check: see the module docstring
+    m.a, m.b, m.c, m.d = a, b, c, d
+    return m
 
 
 # Standard generators: the order 4 rotation, the order 6 element, the swap
@@ -125,8 +135,9 @@ def _columns(A, n):
     # Column k of rho_n(A), k = 0..n, is P^(n-k) Q^k for P = aX + cY and
     # Q = bX + dY, as n + 1 coefficients.  When P or Q is a monomial m Z
     # (Z = X or Y, m possibly 0), a column is a walked power of the other
-    # form, scaled by a power of m and shifted.  Otherwise each column is
-    # the one before it times Q, divided exactly by P.
+    # form, scaled by a power of m and shifted.  Otherwise column 0 is P^n
+    # by the binomial theorem and each further column is the one before it
+    # times Q, divided exactly by P.
     if n < 0:
         raise ValueError("degree must be nonnegative")
     a, b, c, d = A.a, A.b, A.c, A.d
@@ -134,9 +145,7 @@ def _columns(A, n):
         return _monomial_walk(b, d, a or c, c != 0, n)
     if b == 0 or d == 0:
         return _monomial_walk(a, c, b or d, d != 0, n)[::-1]
-    col = [1]
-    for _ in range(n):
-        col = [a * x + c * y for x, y in zip(col + [0], [0] + col)]
+    col = [comb(n, i) * a ** (n - i) * c ** i for i in range(n + 1)]
     out = [col]
     for _ in range(n):
         # g = col * Q / P, top coefficient first: (g P)_i = a g_i + c g_(i-1)

@@ -2,6 +2,9 @@
 
 Words are stored fully expanded as tuples of (generator index, sign) letters;
 parsing accepts exponent shorthand like "s^-2" but expands it immediately.
+Word(...) checks every letter.  Parsed words, inverses and products,
+built here from checked letters, go through _word, which does not check
+again; nothing outside this module calls it.
 A subgroup sits in an Overgroup as a tuple of words in the overgroup's
 generators, one per subgroup generator.
 A 1-cocycle for a representation rho is determined by its values on the
@@ -61,7 +64,7 @@ class Word:
             g = index[name]
             sign = 1 if power > 0 else -1
             letters += [(g, sign)] * abs(power)
-        return cls(letters)
+        return _word(tuple(letters))
 
     def format(self, generators):
         if not self.letters:
@@ -70,10 +73,10 @@ class Word:
                         for g, s in self.letters)
 
     def inverse(self):
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -86,6 +89,12 @@ class Word:
 
     def __repr__(self):
         return "Word(%r)" % (self.letters,)
+
+
+def _word(letters):
+    w = object.__new__(Word)  # a tuple of checked letters, not checked again
+    w.letters = letters
+    return w
 
 
 class Presentation:

@@ -582,6 +582,12 @@ TAMPERS = [
     ("ba", "matrix entry as a bool",
      lambda p: p["subgroup"]["matrices"][0].__setitem__(2, True),
      "payload fields"),
+    ("lift", "overgroup matrix entry as a bool",
+     lambda p: p["overgroups"][1]["matrices"][0].__setitem__(2, True),
+     "payload fields"),
+    ("lift", "subgroup matrix entry as 1.5",
+     lambda p: p["subgroup"]["matrices"][0].__setitem__(0, 1.5),
+     "payload fields"),
     ("ba", "modulus as a string",
      lambda p: p["overgroups"][0]["refutation"].update(
          modulus=str(p["overgroups"][0]["refutation"]["modulus"])),

@@ -27,6 +27,7 @@ import modh1.presentations as presentations
 from modh1.cli import main
 from modh1.cohomology import (
     _is_cocycle,
+    _payload_letters,
     CERT_MAX_COST,
     CERT_MAX_DEGREE,
     Certificate,
@@ -842,6 +843,20 @@ class TestCheapestFirst:
         assert main(["verify-certificate", str(path)]) == 1
 
 
+@st.composite
+def word_texts(draw):
+    # relator or embedding text: tokens with and without ^, x^0, negative
+    # exponents and x^ with an empty exponent, between runs of spaces
+    token = st.one_of(
+        st.sampled_from(["s", "t", "x1", "x23", "z"]),
+        st.builds("{}^{}".format, st.sampled_from(["s", "x7"]),
+                  st.one_of(st.integers(-30, 30).map(str), st.just(""))))
+    gaps = st.text(" ", min_size=1, max_size=3)
+    tokens = draw(st.lists(token, max_size=6))
+    return "".join(draw(gaps) + t for t in tokens) + draw(
+        st.text(" ", max_size=2))
+
+
 class TestCertificates:
     def gl2_overgroup(self):
         gp, ga = builtin("gl2")
@@ -972,6 +987,27 @@ class TestCertificates:
             certify_nonextendable(sp, sa, CERT_MAX_DEGREE, make_ba(2, 1),
                                   [costly])
         assert not isinstance(raised.value, ClaimRefused)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(word_texts(), max_size=4), min_size=3,
+                    max_size=7))
+    def test_payload_letters_match_the_one_line_count(self, groups):
+        # a token without ^ is one letter and is not parsed; the count is
+        # the one-line sum that parses every token
+        sub, *rest = groups
+        payload = {"subgroup": {"relators": sub},
+                   "overgroups": [{"relators": r, "embedding": e}
+                                  for r, e in zip(rest[::2], rest[1::2])]}
+        texts = sub + [t for og in payload["overgroups"]
+                       for t in og["relators"] + og["embedding"]]
+        assert _payload_letters(payload) == sum(
+            abs(int(token.partition("^")[2] or 1))
+            for text in texts for token in str.split(text))
+
+    @pytest.mark.parametrize("entry", [3, None, ["s"], b"s"])
+    def test_payload_letters_refuse_a_non_string(self, entry):
+        with pytest.raises(TypeError):
+            _payload_letters({"subgroup": {"relators": ["s t^-2", entry]}})
 
 
 PRIMES_11_MOD_12 = (11, 23, 47, 59, 71, 83, 107, 131)

@@ -1,6 +1,10 @@
 import random
+from functools import reduce
 
+import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modh1.congruence import lift_to_sl2, schreier_free_basis
 from modh1.linalg import IntMatrix
@@ -45,6 +49,54 @@ def test_mat2_basics():
     assert Mat2.parse(s.format()) == s
     assert (-s).proj_eq(s)
     assert (s ** -1) == s.inv()
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1", None])
+def test_mat2_refuses_a_non_int_entry(entry):
+    with pytest.raises(TypeError):
+        Mat2(entry, 0, 0, 1)
+
+
+def mul2(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def same_value(m, entries):
+    # m holds entries, and compares and hashes as the checked Mat2 of them
+    checked = Mat2(*entries)
+    return (type(m) is Mat2 and m.entries() == entries and m == checked
+            and hash(m) == hash(checked))
+
+
+def power2(x, k):
+    return reduce(mul2, [x] * k, (1, 0, 0, 1))
+
+
+unimodular = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_W, GEN_T.inv()]),
+                      max_size=12).map(
+    lambda ms: reduce(Mat2.__mul__, ms, Mat2.identity()))
+entries = st.tuples(*[st.integers(-10 ** 20, 10 ** 20)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries, entries, unimodular, st.integers(-6, 6))
+def test_mat2_arithmetic_matches_the_entrywise_formulas(x, y, g, k):
+    # products, negations, inverses, powers and the identity are built
+    # without the entry check, and equal the checked Mat2 of the formulas
+    assert same_value(Mat2(*x) * Mat2(*y), mul2(x, y))
+    assert same_value(-Mat2(*x), tuple(-e for e in x))
+    assert same_value(Mat2(*x) ** abs(k), power2(x, abs(k)))
+    a, b, c, d = g.entries()
+    det = a * d - b * c
+    inverse = (det * d, -det * b, -det * c, det * a)
+    assert same_value(g.inv(), inverse)
+    assert same_value(g ** k, power2(g.entries() if k > 0 else inverse,
+                                     abs(k)))
+    assert same_value(Mat2.identity(), (1, 0, 0, 1))
+    assert Mat2(*x).is_identity() == (x == (1, 0, 0, 1))
+    assert (g ** 0).is_identity()
+    assert (-g).is_identity() == (g.entries() == (-1, 0, 0, -1))
 
 
 def test_rho_matches_substitution_oracle():

@@ -31,6 +31,30 @@ def test_word_parse_and_format():
     assert w.inverse().inverse() == w
 
 
+def test_word_refuses_a_bad_sign():
+    with pytest.raises(ValueError, match="signs"):
+        Word([(0, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
+                max_size=10),
+       st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
+                max_size=10))
+def test_built_words_equal_checked_words(x, y):
+    # parsed words, inverses and products are built without the letter
+    # check, and compare and hash equal to the checked Word of their letters
+    gens = ("s", "t", "w")
+    for w, letters in [
+            (Word(x) * Word(y), x + y),
+            (Word(x).inverse(), [(g, -s) for g, s in reversed(x)]),
+            (Word.parse(" ".join(gens[g] + "^%d" % s for g, s in x), gens),
+             x)]:
+        checked = Word(letters)
+        assert type(w) is Word and type(w.letters) is tuple
+        assert w == checked and hash(w) == hash(checked)
+
+
 def test_word_parse_rejects_unknown():
     try:
         Word.parse("x", ("s", "t"))

@@ -114,6 +114,15 @@ def test_trusted_constructor_stays_in_linalg():
     assert callers == {"linalg.py"}
 
 
+def test_trusted_2x2_and_word_constructors_stay_home():
+    # _mat2 and _word check nothing, so 2x2 values and words from
+    # certificate JSON, CLI input or other modules go through the checked
+    # Mat2 and Word constructors
+    for name, home in (("_mat2", "polyrep.py"), ("_word", "presentations.py")):
+        _, named = callers_and_modules(name)
+        assert named == {home}
+
+
 def callers_and_modules(name):
     # (module, top-level definition) of every call to name, and the
     # modules that name it at all
