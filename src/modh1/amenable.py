@@ -11,7 +11,9 @@ integral matrix conjugating the element to its inverse, which unwinds to
 a generalized Pell equation handled by the pell module.  The equation is
 solved for a Lagrange-reduced conjugate of the element, whose filter
 modulus is bounded by the discriminant, and the witness is conjugated
-back (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).
+back (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).  The reduction
+and every witness candidate are checked and ranked as integer 4-tuples
+(a, b, c, d); only the answer is built as a Mat2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 
 from .linalg import xgcd
 from .pell import solve_norm_equation
-from .polyrep import GEN_S, Mat2
+from .polyrep import Mat2
 
 PSL_C2 = "C2"
 PSL_C3 = "C3"
@@ -164,33 +166,51 @@ def qform(g):
     return form
 
 
+def _mul(x, y):
+    """Product of 2x2 matrices given as entry tuples (a, b, c, d)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _inv(x):
+    """Inverse of a determinant-1 matrix given as an entry tuple."""
+    return (x[3], -x[1], -x[2], x[0])
+
+
 def _reduce(g):
     """Conjugate a hyperbolic g to h g h^-1 = (a b; c d), |d-a| <= |b| <= |c|.
 
-    Returns (h, h g h^-1).  This is Lagrange reduction of the attached
-    form (b, d - a, -c): conjugating by T^k keeps c and moves d - a by
-    -2 k c, conjugating by S sends (a b; c d) to (d -c; -b a).  T lands
-    d - a in the half-open (-|c|, |c|] and only runs when |d - a| > |c|;
-    every S that does not finish strictly shrinks |c|, so the loop ends
-    after O(log) rounds, and already reduced input is returned with
-    h = 1.
+    g, h and h g h^-1 are entry tuples, and (h, h g h^-1) is returned.
+    This is Lagrange reduction of the attached form (b, d - a, -c):
+    conjugating by T^k keeps c and moves d - a by -2 k c, conjugating by
+    S sends (a b; c d) to (d -c; -b a).  T lands d - a in the half-open
+    (-|c|, |c|] and only runs when |d - a| > |c|; every S that does not
+    finish strictly shrinks |c|, so the loop ends after O(log) rounds, and
+    already reduced input is returned with h = 1.
     """
-    h = Mat2.identity()
-    while not abs(g.d - g.a) <= abs(g.b) <= abs(g.c):
-        m, c = g.d - g.a, abs(g.c)
-        if abs(m) > c:
-            k = -((c - m) // (2 * c))
-            step = Mat2(1, k if g.c > 0 else -k, 0, 1)
+    a, b, c, d = g
+    h0, h1, h2, h3 = 1, 0, 0, 1
+    while not abs(d - a) <= abs(b) <= abs(c):
+        m, ac = d - a, abs(c)
+        if abs(m) > ac:
+            k = -((ac - m) // (2 * ac))
+            if c < 0:
+                k = -k
+            # T^k g T^-k and T^k h, with T^k = (1 k; 0 1)
+            a, b, d = a + k * c, b + k * m - k * k * c, d - k * c
+            h0, h1 = h0 + k * h2, h1 + k * h3
         else:
-            step = GEN_S
-        g = step * g * step.inv()
-        h = step * h
-    return h, g
+            a, b, c, d = d, -c, -b, a
+            h0, h1, h2, h3 = -h2, -h3, h0, h1
+    return (h0, h1, h2, h3), (a, b, c, d)
 
 
 def _pell_witnesses(g):
-    """Every witness the filtered norm equation gives for g, checked."""
-    a, b, c, d = g.entries()
+    """Every witness the filtered norm equation gives for g, checked.
+
+    g and the witnesses are entry tuples.
+    """
+    a, b, c, d = g
     if b == 0 or c == 0:
         # b = 0 with det 1 forces a = d = +-1 and trace +-2, likewise c.
         raise RuntimeError("hyperbolic matrix cannot have a zero corner")
@@ -205,7 +225,7 @@ def _pell_witnesses(g):
     # oracle and would slow the congruence scan down here
     reps, _ = solve_norm_equation(disc, -4 * b * b, filters=filters, cover=0)
     out = []
-    g_inv = g.inv()
+    g_inv = _inv(g)
     for u, y in reps:
         x, r = divmod(u - m * y, 2 * b)
         if r:
@@ -213,15 +233,15 @@ def _pell_witnesses(g):
         z, r = divmod(m * x - c * y, b)
         if r:
             raise RuntimeError("congruence filter failed to make z integral")
-        witness = Mat2(x, y, z, -x)
-        if witness.det() != 1 or witness * g != g_inv * witness:
+        witness = (x, y, z, -x)
+        if -x * x - y * z != 1 or _mul(witness, g) != _mul(g_inv, witness):
             raise RuntimeError("norm equation solution is not a witness")
         out.append(witness)
     return out
 
 
 def _witness_key(w):
-    return (max(abs(t) for t in w.entries()), w.entries())
+    return (max(map(abs, w)), w)
 
 
 def dinf_decision(g):
@@ -258,26 +278,27 @@ def dinf_decision(g):
     """
     if classify(g).tag != "hyperbolic":
         raise ValueError("dihedral decision requires a hyperbolic matrix")
+    g = g.entries()
     h, reduced = _reduce(g)
-    if reduced != h * g * h.inv():
+    h_inv = _inv(h)
+    if reduced != _mul(_mul(h, g), h_inv):
         raise RuntimeError("reduction is not a conjugation")
     found = _pell_witnesses(reduced)
     if not found:
         return None
-    h_inv = h.inv()
-    best = min((h_inv * w * h for w in found), key=_witness_key)
-    g_inv = g.inv()
+    best = min((_mul(_mul(h_inv, w), h) for w in found), key=_witness_key)
+    g_inv = _inv(g)
     for step in (g, g_inv):
         while True:
-            moved = step * best
-            moved = min(moved, -moved, key=_witness_key)
+            moved = _mul(step, best)
+            moved = min(moved, tuple(-t for t in moved), key=_witness_key)
             if _witness_key(moved) >= _witness_key(best):
                 break
             best = moved
-    if (best.det() != 1 or best.trace() != 0
-            or best * g != g_inv * best):
+    x, y, z, t = best
+    if x * t - y * z != 1 or x + t != 0 or _mul(best, g) != _mul(g_inv, best):
         raise RuntimeError("conjugated witness does not invert the input")
-    return best
+    return Mat2(x, y, z, t)
 
 
 def parabolic_generator(g):

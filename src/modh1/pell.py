@@ -6,7 +6,9 @@ math.isqrt, the continued fraction of sqrt(D) through the classical
 norm equation solver returns a finite set of representatives that is
 complete modulo the automorph attached to the fundamental solution of
 t^2 - D s^2 = 4, which is what turns "does a matrix power equation have a
-solution" questions into a finite check.
+solution" questions into a finite check.  A solve reads one continued
+fraction (_units): both fundamental solutions come from it, and its
+orbit scan runs on residues of the automorph taken once.
 """
 
 from __future__ import annotations
@@ -95,28 +97,37 @@ def cf_sqrt(D):
             return CFExpansion(a0, period)
 
 
-def _convergents(D):
-    """Yield convergents (h, k) of sqrt(D), cycling the period forever."""
-    cf = cf_sqrt(D)
-    h_prev, h = 1, cf.a0
-    k_prev, k = 0, 1
-    yield h, k
-    while True:
-        for a in cf.period:
-            h_prev, h = h, a * h + h_prev
-            k_prev, k = k, a * k + k_prev
-            yield h, k
+def _period_end(D, norm):
+    """Convergent (h, k) of sqrt(D) with h^2 - D k^2 = norm +-1, or None.
+
+    One walk of the (m, d, a) recurrence carries the convergents along.
+    The convergent before the end of period r, where d returns to 1, has
+    norm (-1)^r, so the first two ends hold the fundamental solution of
+    norm 1 and the one of norm -1, if there is one.
+    """
+    a0 = isqrt(D)
+    m, d, a = 0, 1, a0
+    h_prev, h, k_prev, k = 1, a0, 0, 1
+    ends = 0
+    while ends < 2:
+        m = d * a - m
+        d = (D - m * m) // d
+        if d == 1:
+            if h * h - D * k * k == norm:
+                return h, k
+            ends += 1
+        a = (a0 + m) // d
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    if norm == 1:
+        raise RuntimeError("fundamental solution not found in two periods")
+    return None
 
 
 def pell_plus(D):
     """Minimal positive solution of x^2 - D y^2 = 1."""
     _check_nonsquare(D)
-    limit = 2 * len(cf_sqrt(D).period) + 2
-    for i, (h, k) in enumerate(_convergents(D)):
-        if h * h - D * k * k == 1:
-            return PellSolution(D, h, k, 1)
-        if i > limit:
-            raise RuntimeError("fundamental solution not found in two periods")
+    return PellSolution(D, *_period_end(D, 1), 1)
 
 
 def pell_minus(D):
@@ -126,53 +137,40 @@ def pell_minus(D):
     in which case the convergent just before the first period end gives it.
     """
     _check_nonsquare(D)
-    r = len(cf_sqrt(D).period)
-    if r % 2 == 0:
-        return None
-    for i, (h, k) in enumerate(_convergents(D)):
-        if h * h - D * k * k == -1:
-            return PellSolution(D, h, k, -1)
-        if i > r:
-            raise RuntimeError("odd period did not produce a norm -1 hit")
+    pair = _period_end(D, -1)
+    return None if pair is None else PellSolution(D, *pair, -1)
 
 
-def _odd_four_search(D, plus):
-    # Odd solutions of t^2 - D s^2 = +-4 require D = 5 mod 8.  When one
-    # exists the associated unit is at worst a sixth root of the norm 1
-    # fundamental, so s is bounded by a small cube root expression.
-    bound = _icbrt(8 * (plus.x + (isqrt(D) + 1) * plus.y)) + 3
-    for s in range(1, bound + 1, 2):
-        for norm in (-4, 4):
-            r2 = D * s * s + norm
-            if r2 > 0:
-                t = isqrt(r2)
-                if t * t == r2 and t % 2 == 1:
-                    return t, s, norm
-    return None
+def _units(D):
+    """Fundamental pairs of x^2 - D y^2 = 1 and t^2 - D s^2 = 4.
+
+    Case analysis on D mod 4, reading one continued fraction: for D = 0
+    the norm 4 solutions are exactly the doubled-first-coordinate
+    solutions (2 x, y) over D/4, and the norm 1 solution over D is (x,
+    y/2) or, for odd y, the square (2 x^2 - 1, x y); for D = 2, 3 both
+    coordinates are forced even, halving to the norm 1 equation.  For
+    D = 1 mod 4 odd t and s can appear, but only when D = 5 mod 8; the
+    unit (t + s sqrt(D)) / 2 is then a cube root of x + y sqrt(D), so
+    t^3 - 3 t = 2 x, whose only root above 1 is floor(cbrt(2 x)) + 1.
+    """
+    if D % 4 == 0:
+        x, y = _period_end(D // 4, 1)
+        plus = (x, y // 2) if y % 2 == 0 else (2 * x * x - 1, x * y)
+        return plus, (2 * x, y)
+    x, y = _period_end(D, 1)
+    if D % 8 == 5:
+        t = _icbrt(2 * x) + 1
+        s_sq, r = divmod(t * t - 4, D)
+        s = isqrt(s_sq)
+        if t % 2 and t ** 3 - 3 * t == 2 * x and r == 0 and s * s == s_sq:
+            return (x, y), (t, s)
+    return (x, y), (2 * x, 2 * y)
 
 
 def pell4(D):
-    """Minimal positive solution of t^2 - D s^2 = 4.
-
-    Case analysis on D mod 4: for D = 0 the solutions are exactly the
-    doubled-first-coordinate solutions over D/4; for D = 2, 3 both
-    coordinates are forced even, halving to the norm 1 equation; for
-    D = 1 odd solutions can appear, but only when D = 5 mod 8, and a
-    bounded search finds the fundamental one.
-    """
+    """Minimal positive solution of t^2 - D s^2 = 4 (see _units)."""
     _check_nonsquare(D)
-    if D % 4 == 0:
-        inner = pell_plus(D // 4)
-        return PellSolution(D, 2 * inner.x, inner.y, 4)
-    plus = pell_plus(D)
-    if D % 8 == 5:
-        odd = _odd_four_search(D, plus)
-        if odd is not None:
-            t, s, norm = odd
-            if norm == -4:
-                t, s = (t * t + D * s * s) // 2, t * s
-            return PellSolution(D, t, s, 4)
-    return PellSolution(D, 2 * plus.x, 2 * plus.y, 4)
+    return PellSolution(D, *_units(D)[1], 4)
 
 
 def automorph_step(D, automorph, solution, inverse=False):
@@ -215,10 +213,6 @@ def brute_solve(D, N, bound):
     return sorted(out)
 
 
-def _filters_pass(filters, u, y):
-    return all((cu * u + cy * y) % m == 0 for cu, cy, m in filters)
-
-
 def solve_norm_equation(D, N, filters=(), cover=10 ** 4):
     """Solutions of u^2 - D y^2 = N modulo the pell4 automorph.
 
@@ -242,9 +236,8 @@ def solve_norm_equation(D, N, filters=(), cover=10 ** 4):
     for cu, cy, m in filters:
         if m < 1:
             raise ValueError("filter modulus must be positive")
-    plus = pell_plus(D)
-    aut = pell4(D)
-    x1, y1 = plus.x, plus.y
+    (x1, y1), four = _units(D)
+    aut = PellSolution(D, *four, 4)
 
     if N > 0:
         y_sq = (y1 * y1 * N) // (2 * (x1 + 1))
@@ -277,16 +270,14 @@ def solve_norm_equation(D, N, filters=(), cover=10 ** 4):
     if modulus == 1:
         return reps, aut
 
-    # order of the norm 1 automorph matrix mod the filter modulus
-    a = (x1 % modulus, (D * y1) % modulus, y1 % modulus, x1 % modulus)
-    e = 1
-    cur = a
+    # order of the norm 1 automorph mod the filter modulus: the powers of
+    # x1 + y1 sqrt(D), or of the matrix (x1 D y1; y1 x1), on the residues
+    # of x1, y1 and D y1, taken once
+    rx, ry, rdy = x1 % modulus, y1 % modulus, (D * y1) % modulus
+    p, q, e = rx, ry, 1
     cap = 4 * modulus * modulus + 4
-    while cur != (1, 0, 0, 1):
-        cur = ((cur[0] * a[0] + cur[1] * a[2]) % modulus,
-               (cur[0] * a[1] + cur[1] * a[3]) % modulus,
-               (cur[2] * a[0] + cur[3] * a[2]) % modulus,
-               (cur[2] * a[1] + cur[3] * a[3]) % modulus)
+    while p != 1 or q != 0:
+        p, q = (p * rx + rdy * q) % modulus, (p * ry + q * rx) % modulus
         e += 1
         if e > cap:
             raise RuntimeError("automorph order search exceeded its cap")
@@ -301,12 +292,15 @@ def solve_norm_equation(D, N, filters=(), cover=10 ** 4):
         u, y = u0 % modulus, y0 % modulus
         forward, backward = set(), set()
         for k in range(e):
-            if _filters_pass(filters, u, y):
+            for cu, cy, m in filters:
+                if (cu * u + cy * y) % m:
+                    break
+            else:
                 if k <= half:
                     forward.add(k)
                 else:
                     backward.add(e - k)
-            u, y = (x1 * u + D * y1 * y) % modulus, (y1 * u + x1 * y) % modulus
+            u, y = (rx * u + rdy * y) % modulus, (ry * u + rx * y) % modulus
         if 0 in forward:
             out.add((u0, y0))
         for s, steps in ((y1, forward), (-y1, backward)):

@@ -6,6 +6,7 @@ witnesses are re-verified from the defining matrix equation rather than
 trusted from the solver.
 """
 
+import hashlib
 import random
 import time
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modh1 import amenable
 from modh1.amenable import (
     AmenableTypeReport,
     ElementClass,
@@ -27,6 +29,14 @@ from modh1.amenable import (
 from modh1.polyrep import GEN_S, GEN_T, GEN_W, Mat2
 
 IDENT = Mat2.identity()
+T_UP = Mat2(1, 1, 0, 1)
+T_DOWN = T_UP.inv()
+# the words h of the pinned conjugates h g h^-1: S, T^+-1, T^+-2,
+# S T^+-1, T^+-1 S and T^+-1 S T^+-1
+SHORT_WORDS = [GEN_S, T_UP, T_DOWN, T_UP * T_UP, T_DOWN * T_DOWN,
+               GEN_S * T_UP, GEN_S * T_DOWN, T_UP * GEN_S, T_DOWN * GEN_S,
+               T_UP * GEN_S * T_UP, T_UP * GEN_S * T_DOWN,
+               T_DOWN * GEN_S * T_UP, T_DOWN * GEN_S * T_DOWN]
 
 
 def brute_witness(g, bound=50):
@@ -231,6 +241,47 @@ class TestDinfDecision:
         with pytest.raises(ValueError):
             dinf_decision(GEN_T)
 
+    def test_corpus_witnesses_are_pinned(self):
+        # which witness comes back, not only that it is one: every base of
+        # the corpus and its conjugates by the short words, one line each
+        lines = []
+        for g in hyperbolic_corpus(200):
+            for m in [g] + [h * g * h.inv() for h in SHORT_WORDS]:
+                witness = dinf_decision(m)
+                lines.append("-" if witness is None else witness.format())
+        assert len(lines) == 2800
+        assert len(lines) - lines.count("-") == 434
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "274cab51382160cbf84a35e41c26fd56bc66f3b5107db2c92a57f6b57c8832b6")
+
+    @pytest.mark.parametrize("g, pair, message", [
+        # (u, y) = (2 b^2, 0) passes both congruences and gives
+        # B = (b 0; d - a -b), of determinant -b^2
+        (Mat2(3, 2, 4, 3), (8, 0), "not a witness"),
+        (Mat2(3, 2, 7, 5), (8, 0), "not a witness"),
+        (Mat2(3, 2, 4, 3), (1, 0), "x integral"),
+        (Mat2(3, 2, 7, 5), (2, 1), "z integral"),
+    ])
+    def test_candidate_checks_are_live(self, monkeypatch, g, pair, message):
+        assert _reduce(g.entries())[0] == IDENT.entries()
+        monkeypatch.setattr(amenable, "solve_norm_equation",
+                            lambda *args, **kwargs: ([pair], None))
+        with pytest.raises(RuntimeError, match=message):
+            dinf_decision(g)
+
+    def test_reduction_and_final_checks_are_live(self, monkeypatch):
+        g = Mat2(3, 1, 2, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(amenable, "_reduce",
+                          lambda g: (IDENT.entries(), (2, 1, 1, 1)))
+            with pytest.raises(RuntimeError, match="not a conjugation"):
+                dinf_decision(g)
+        # S does not conjugate (3 1; 2 1) to its inverse
+        monkeypatch.setattr(amenable, "_pell_witnesses",
+                            lambda g: [GEN_S.entries()])
+        with pytest.raises(RuntimeError, match="does not invert the input"):
+            dinf_decision(g)
+
     def test_covariance_cases_are_fast(self):
         # the conjugates of test_conjugation_covariance, plus one that
         # took seconds when the equation was solved on the input itself
@@ -279,13 +330,13 @@ class TestReduction:
                   Mat2(4, 3, 5, 4), Mat2(3, 2, 7, 5), Mat2(-3, 2, 4, -3),
                   Mat2(-2, -1, -1, -1)):
             assert abs(g.d - g.a) <= abs(g.b) <= abs(g.c)
-            assert _reduce(g) == (IDENT, g)
+            assert _reduce(g.entries()) == (IDENT.entries(), g.entries())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(base=st.sampled_from(COVARIANCE_BASES), h=long_conjugator())
     def test_reduced_form(self, base, h):
         g = h * base * h.inv()
-        conj, reduced = _reduce(g)
+        conj, reduced = (Mat2(*m) for m in _reduce(g.entries()))
         assert conj.det() == 1
         assert reduced == conj * g * conj.inv()
         assert abs(reduced.d - reduced.a) <= abs(reduced.b) <= abs(reduced.c)

@@ -14,6 +14,7 @@ import pytest
 from modh1.pell import (
     CFExpansion,
     PellSolution,
+    _units,
     automorph_step,
     brute_solve,
     cf_sqrt,
@@ -50,15 +51,13 @@ class TestContinuedFraction:
 
     def test_period_end_convergent_norm(self):
         # convergent just before the period end has norm (-1)^r
-        from modh1.pell import _convergents
-
         for D in nonsquares(120):
-            r = len(cf_sqrt(D).period)
-            gen = _convergents(D)
-            for _ in range(r - 1):
-                next(gen)
-            h, k = next(gen)
-            assert h * h - D * k * k == (-1) ** r
+            cf = cf_sqrt(D)
+            h_prev, h, k_prev, k = 1, cf.a0, 0, 1
+            for a in cf.period[:-1]:
+                h_prev, h = h, a * h + h_prev
+                k_prev, k = k, a * k + k_prev
+            assert h * h - D * k * k == (-1) ** len(cf.period)
 
 
 class TestFundamentalSolutions:
@@ -130,6 +129,53 @@ class TestPell4:
         assert pell4(21).pair() == (5, 1)
         # 37 = 5 mod 8 but all solutions are even
         assert pell4(37).pair() == (146, 24)
+
+
+class TestOneContinuedFraction:
+    # D = 0 mod 4 reads the fraction of sqrt(D/4): at 12 its solution
+    # (2, 1) has odd y, so the norm 1 solution over 12 is the square.
+    # D = 5 mod 8 can have odd t and s: of norm -4 at 5, 13, 29 and 53,
+    # of norm 4 at 21, 221 and 1141, where s = 37751109 is far out for
+    # any search by s; 37 has none.
+    NAMED = {8: (6, 2), 12: (4, 1), 20: (18, 4), 28: (16, 3), 76: (340, 39),
+             5: (3, 1), 13: (11, 3), 21: (5, 1), 29: (27, 5), 53: (51, 7),
+             221: (15, 1), 37: (146, 24), 1141: (1275183065, 37751109)}
+
+    def test_units_match_pell_plus_and_pell4(self):
+        for D in nonsquares(400) + [1141]:
+            plus, four = _units(D)
+            assert plus == pell_plus(D).pair(), D
+            assert four == pell4(D).pair(), D
+            t, s = four
+            assert t > 0 and s > 0 and t * t - D * s * s == 4, D
+            # the norm 1 fundamental is the first power of (t + s sqrt(D))/2
+            # with integral coordinates
+            assert automorph_step(D, pell4(D), (1, 0)) == plus, D
+
+    def test_solve_automorph_is_pell4(self):
+        # the window scan runs to about sqrt(x1 / D) for the norm 1
+        # solution (x1, y1), which leaves out the 15 D <= 400 whose x1 is
+        # past 10^12; test_units_match_pell_plus_and_pell4 covers them
+        solved = 0
+        for D in nonsquares(400):
+            if pell_plus(D).x > 10 ** 12:
+                continue
+            _, aut = solve_norm_equation(D, 1, cover=0)
+            assert aut.pair() == pell4(D).pair(), D
+            solved += 1
+        assert solved == 365
+
+    @pytest.mark.parametrize("D", sorted(NAMED))
+    def test_named_cases(self, D):
+        t, s = pell4(D).pair()
+        assert (t, s) == self.NAMED[D]
+        assert (t % 2 == 1) == (D in (5, 13, 21, 29, 53, 221, 1141))
+        if D % 4 == 0:
+            inner = pell_plus(D // 4)
+            assert (t, s) == (2 * inner.x, inner.y)
+        if D < 1000:
+            _, aut = solve_norm_equation(D, -4, cover=0)
+            assert aut.pair() == (t, s)
 
 
 class TestAutomorphStep:
