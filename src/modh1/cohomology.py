@@ -28,6 +28,7 @@ import json
 from .linalg import (
     AbelianInvariants,
     IntMatrix,
+    _mod2_refutation,
     _primitive_kernel,
     cokernel_invariants,
     hstack,
@@ -217,19 +218,13 @@ def restriction_cokernel(ambient_presentation, ambient_rep,
                 coboundary_matrix(sub_rep)]))
 
 
-def _refutation(M, target):
-    # The stored refutation of target lying in the column lattice of M: a
-    # functional u and modulus m with u.M = 0 mod m but u.target != 0 mod m
-    # (m = 0 means exact vanishing), and the pairing u.target.  None when
-    # target lies in the lattice.  The record is re-checked before return.
-    ref = smith_normal_form(M).refute(target)
-    if ref is None:
-        return None
-    ok, pairing = _refutes(ref[0], ref[1], target, [_kills(M)])
-    if not ok:
-        raise RuntimeError("Smith functional does not refute membership")
-    return {"functional": ref[0], "modulus": ref[1],
-            "pairing": _decimal_or_hex(pairing)}
+def _refuse(M, target, claim):
+    # when the writer's functionals do not refute target: ClaimRefused(claim)
+    # if it lies in M's column lattice, else a ValueError
+    if solve_integer(M, target) is not None:
+        raise ClaimRefused(claim)
+    raise ValueError("the class lies outside the lattice, but no exact or "
+                     "mod 2 functional the writer tries refutes it")
 
 
 def _decimal_or_hex(x):
@@ -249,11 +244,11 @@ def _kills(M):
 
 
 def _refutes(u, m, target, tests):
-    # (whether u, m refute membership of target, u.target): u.target != 0
-    # (mod m) goes first, then each test of u, m in turn
+    # (whether u, m refute membership of target, their stored refutation):
+    # u.target != 0 (mod m) goes first, then each test of u, m in turn
     ub = sum(x * y for x, y in zip(u, target))
     ok = (ub % m if m else ub) != 0 and all(test(u, m) for test in tests)
-    return ok, ub
+    return ok, {"functional": u, "modulus": m, "pairing": _decimal_or_hex(ub)}
 
 
 class ClaimRefused(ValueError):
@@ -273,12 +268,10 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     the one with u.b != 0 and the smallest largest entry.  For each L, u is
     tested the way the re-check tests it, with the functional pulled back
     to L in R_L's row space, so that u.M = 0 and b is outside even the
-    rational span of M; no Z^1 basis of L is built.  An overgroup u does
-    not refute (a class of finite order modulo B_sub, say) gets a
-    refutation read off the Smith form of M, with a modulus when the class
-    is torsion there; when b lies in M's lattice the cocycle extends and
-    ClaimRefused is raised.
-    The certificate re-verifies by pure integer arithmetic from its own data.
+    rational span of M; no Z^1 basis of L is built.  For an overgroup u
+    does not refute, solve_integer(M, b) decides: ClaimRefused when b lies
+    in M's lattice, else a plain ValueError (a class of finite order
+    modulo M has no exact refutation, and no other u is tried).
     """
     sub_rep, payload = _claim("nonextendable", sub_presentation,
                               sub_assignment, n, cocycle, overgroups)
@@ -288,20 +281,16 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     u = _smallest_pairing(_primitive_kernel(B_sub.transpose()), target)
     payload["overgroups"] = entries = []
     for og in overgroups:
-        refutation = None
-        if u is not None:
+        ok = u is not None
+        if ok:
             restricted = _restriction_test(og.presentation, og.assignment,
                                            og.words, n)
-            ok, pairing = _refutes(u, 0, target, [coboundaries, restricted])
-            if ok:
-                refutation = {"functional": u, "modulus": 0,
-                              "pairing": _decimal_or_hex(pairing)}
-        if refutation is None:
+            ok, refutation = _refutes(u, 0, target, [coboundaries, restricted])
+        if not ok:
             RZ = restriction_image_matrix(og.presentation,
                                           og.assignment.rep(n), og.words)
-            refutation = _refutation(hstack([RZ, B_sub]), target)
-        if refutation is None:
-            raise ClaimRefused("the class extends to overgroup %r" % og.name)
+            _refuse(hstack([RZ, B_sub]), target,
+                    "the class extends to overgroup %r" % og.name)
         entry = _presentation_payload(og.presentation, og.assignment)
         entry.update(name=og.name, refutation=refutation,
                      embedding=[w.format(og.presentation.generators)
@@ -319,25 +308,33 @@ def _smallest_pairing(vectors, target):
 
 
 def _restriction_test(presentation, assignment, words, n):
-    # the test of whether u.RZ = 0 (mod m), RZ the restriction to words of
-    # a Z^1 basis of the overgroup: u.RZ is v.Z for the functional v pulled
-    # back to the overgroup, so neither Z^1 nor RZ is built, and rho_n and
-    # the relator matrix only when the test runs
+    # the test of whether m = 0 and u.RZ = 0, RZ the restriction to words
+    # of a Z^1 basis of the overgroup: u.RZ is v.Z for v pulled back to the
+    # overgroup, so neither Z^1 nor RZ is built, and R_L only when m = 0
     def test(u, m):
+        if m:
+            return False
         rep = assignment.rep(n)
         return kills_kernel(relator_condition_matrix(presentation, rep),
-                            pull_back_functional(words, rep, u), m)
+                            pull_back_functional(words, rep, u))
     return test
 
 
 def certify_noncoboundary(presentation, assignment, n, cocycle):
-    """A certificate that the cocycle is not a coboundary."""
+    """A certificate that the cocycle is not a coboundary: mod 2 by a 0/1
+    functional when b is outside B's F_2 column span, else exact."""
     rep, payload = _claim("noncoboundary", presentation, assignment, n,
                           cocycle)
-    payload["refutation"] = _refutation(coboundary_matrix(rep),
-                                        cocycle.stacked())
-    if payload["refutation"] is None:
-        raise ClaimRefused("the cocycle is a coboundary")
+    B = coboundary_matrix(rep)
+    target = cocycle.stacked()
+    u, m = _mod2_refutation(B, target), 2
+    if u is None:
+        u, m = _smallest_pairing(_primitive_kernel(B.transpose()), target), 0
+    if u is None:
+        _refuse(B, target, "the cocycle is a coboundary")
+    ok, payload["refutation"] = _refutes(u, m, target, [_kills(B)])
+    if not ok:
+        raise RuntimeError("functional does not refute the coboundaries")
     return Certificate(payload)
 
 
@@ -355,18 +352,16 @@ def _claim(kind, presentation, assignment, n, cocycle, overgroups=()):
 CERTIFICATE_FORMAT = "modh1-certificate-1"
 
 # Re-checking a degree n certificate takes a forward echelon of the
-# overgroup's stacked (n + 1)-square relator blocks, or a kernel basis of
-# them for an overgroup refutation with a modulus, which the CLI writes
-# for no witness kind: `verify-certificate` on a `witness --kind
-# ba:120,1` certificate (gl2 overgroup) takes about 0.3 s on a 2-vCPU
-# Xeon.  The CLI writes no higher degree.
+# overgroup's stacked (n + 1)-square relator blocks: `verify-certificate`
+# on a `witness --kind ba:120,1` certificate (gl2 overgroup) takes about
+# 0.3 s on a 2-vCPU Xeon.  The CLI writes no higher degree.
 CERT_MAX_DEGREE = 120
 
 # Each letter of a relator costs at most one rho_n of a 2x2 prefix, its
 # Fox Jacobian term, about (n + 1)^2 entry products, built once per Rep.
 # Writing and re-checking, each letter of an embedding word costs one
 # product of a row vector with an (n + 1)-square matrix; in the writer's
-# fallback, for a class no kernel functional refutes, one product of such
+# refusal, for a class no kernel functional refutes, one product of such
 # a matrix with the restricted Z^1 basis, a block of n + 1 rows.  A
 # generator used inverted there adds one rho_n of its 2x2 inverse.
 # The budget on letters times (n + 1)^3 is that of `witness --kind
@@ -535,9 +530,9 @@ class Certificate:
         if len(u) != len(target):
             check(label, False, "functional length %d" % len(target), len(u))
             return
-        ok, ub = _refutes(u, m, target, tests)
+        ok, stored = _refutes(u, m, target, tests)
         check(label, ok, "u.M = 0, u.b != 0 (mod %d)" % m,
-              "u.b = %s" % _decimal_or_hex(ub))
+              "u.b = %s" % stored["pairing"])
 
 
 def make_ba(n, a):

@@ -24,8 +24,8 @@ left carries neither U nor V.  kernel_basis stops after a row pass and
 a column pass's forward sweep.  No matrix is ever inverted here: the one
 inverse the package needs, rho_n(g)^-1, is rho_n of g's 2x2 inverse.
 
-rank, row_echelon and kills_kernel(A, v, 0) read only A's rational row
-space, so they eliminate over Q instead, with exact integers: one
+rank, row_echelon and kills_kernel read only A's rational row space, so
+they eliminate over Q instead, with exact integers: one
 fraction-free pass per column (Bareiss, Math. Comp. 22, 1968) sets each
 row below the pivot p to a*row - c*pivot row, with a = p/g, c = x/g for
 its entry x and g = gcd(p, x), and divides a scaled row by its content,
@@ -37,12 +37,12 @@ visits the columns lightest first, by the bit lengths of their entries,
 so the sparse unit columns of rho(S) and rho(W) are pivoted before the
 binomial columns of rho(T), which most dependent rows no longer reach;
 its rows are in echelon form under that column order.
-kills_kernel(A, v, 0) asks whether v kills A's kernel, that is, lies in
+kills_kernel(A, v) asks whether v kills A's kernel, that is, lies in
 A's rational row space: it reduces v the same way against those rows,
-in pivot order, and builds no kernel basis; with a modulus m != 0 it
-pairs v with kernel_basis(A).  _primitive_kernel reads one primitive
-integer vector of A's rational kernel per free column off the same
-rows, by fraction-free back-substitution in reverse pivot order.
+in pivot order, and builds no kernel basis.  _primitive_kernel reads
+one primitive integer vector of A's rational kernel per free column off
+the same rows, by fraction-free back-substitution in reverse pivot
+order.
 
 Pivots are chosen by minimal nonzero absolute value, which keeps
 intermediate entries small in practice.
@@ -285,9 +285,9 @@ class SmithLattice:
     Built by smith_normal_form(A) alone.  A vector v lies in the lattice
     exactly when each entry of U*v is divisible by the matching diagonal
     entry of S (entries past the rank must vanish).  That one test gives
-    coordinates, a refuting functional, and the order of v modulo the
-    lattice.  The form cokernel_invariants reduces inside this module
-    carries no transform (U and V are None) and is never handed out.
+    coordinates and the order of v modulo the lattice.  The form
+    cokernel_invariants reduces inside this module carries no transform
+    (U and V are None) and is never handed out.
     """
 
     __slots__ = ("A", "U", "V", "_diag")
@@ -310,17 +310,6 @@ class SmithLattice:
             elif c:
                 return None
         return self.V.mulvec(y)
-
-    def refute(self, v):
-        """A non-membership voucher for v, or None when v is in the lattice.
-
-        Returns (u, m): a row of U with u.A = 0 mod m but u.v != 0 mod m,
-        where m = 0 means exact vanishing.
-        """
-        for i, (c, d) in enumerate(zip(self.U.mulvec(v), self._diag)):
-            if c % d if d else c:
-                return list(self.U.data[i]), d
-        return None
 
     def order(self, v):
         """Order of v modulo the lattice; None means infinite."""
@@ -663,23 +652,18 @@ def _primitive_kernel(A):
     return out
 
 
-def kills_kernel(A, v, m):
-    """Whether v.x = 0 (mod m) for every integer x with A*x = 0.
+def kills_kernel(A, v):
+    """Whether v.x = 0 for every integer x with A*x = 0.
 
-    m = 0 asks for v.x = 0 exactly.  That holds exactly when v lies in
-    the rational row space of A, the orthogonal complement of its kernel:
-    v is reduced fraction-free against the rows row_echelon(A) returns,
-    in pivot order, along each row's nonzero entries, is divided by its
-    content after each step that scaled it, and must reduce to zero.  No
-    kernel basis is built.
-    For m != 0 the test is kernel_basis(A)^T v = 0 (mod m): that basis
-    spans the whole integer kernel, so its columns are enough.
+    That holds exactly when v lies in the rational row space of A, the
+    orthogonal complement of its kernel: v is reduced fraction-free
+    against the rows row_echelon(A) returns, in pivot order, along each
+    row's nonzero entries, is divided by its content after each step
+    that scaled it, and must reduce to zero.  No kernel basis is built.
     """
     v = list(v)
     if len(v) != A.cols:
         raise ValueError("vector length mismatch")
-    if m:
-        return all(x % m == 0 for x in kernel_basis(A).transpose().mulvec(v))
     rows = [list(row) for row in A.data]
     for row, j in zip(rows, _rational_forward(rows, A.cols)):
         x = v[j]
@@ -699,6 +683,26 @@ def kills_kernel(A, v, m):
             if g > 1:
                 v = [y // g for y in v]
     return not any(v)
+
+
+def _mod2_refutation(A, b):
+    """A 0/1 list u with u.A = 0 and u.b = 1 (mod 2), or None when b lies
+    in A's column span over F_2.  Row i of [A | b | I] is one bitmask, I
+    in the low A.rows bits and b just above them; each row is reduced by
+    the rows kept before it, one per top bit, and one left with b alone
+    above I holds u in I.
+    """
+    kept = {}
+    for i, (row, y) in enumerate(zip(A.data, b)):
+        x = sum(2 << j for j, a in enumerate(row) if a & 1) | (y & 1)
+        x = x << A.rows | 1 << i
+        while x.bit_length() in kept:
+            x ^= kept[x.bit_length()]
+        if x >> A.rows == 1:
+            return [x >> k & 1 for k in range(A.rows)]
+        if x >> A.rows:
+            kept[x.bit_length()] = x
+    return None
 
 
 def solve_integer(A, b):

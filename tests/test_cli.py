@@ -506,6 +506,11 @@ TAMPERS = [
     ("lift", "changed modulus",
      lambda p: p["overgroups"][1]["refutation"].update(modulus=1),
      "sl2 refutation"),
+    # u.b = 1 is nonzero mod 3 and u.B_sub = 0, but an overgroup refutation
+    # must be exact
+    ("ba", "modulus 3",
+     lambda p: p["overgroups"][0]["refutation"].update(modulus=3),
+     "gl2 refutation"),
     ("ba", "altered cocycle entry",
      lambda p: p["cocycle"]["values"][0].__setitem__(1, 1),
      "cocycle condition"),

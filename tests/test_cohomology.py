@@ -9,6 +9,7 @@ finite.  That route never touches the presentation machinery.
 """
 
 import json
+import random
 from collections import Counter
 from functools import lru_cache
 from math import prod
@@ -26,6 +27,7 @@ import modh1.linalg as linalg
 import modh1.presentations as presentations
 from modh1.cli import main
 from modh1.cohomology import (
+    _beps_column,
     _is_cocycle,
     _payload_letters,
     CERT_MAX_COST,
@@ -783,10 +785,10 @@ class TestCheapestFirst:
         assert evaluated == relators
 
     @staticmethod
-    def forged_ba(n, exact):
+    def forged_ba(n):
         # the genuine b_a certificate at degree n under gl2, its functional
-        # swapped for a row u of B_sub's Smith transform with u.b != 0 and
-        # u.B_sub = 0 (mod m), but u.RZ != 0 (mod m); m = 0 when exact
+        # swapped for a row u of B_sub's Smith transform past its rank with
+        # u.b != 0, so u.B_sub = 0, but u.RZ != 0
         sp, sa = builtin("sl2")
         gl2 = TestCertificates().gl2_overgroup()
         b = make_ba(n, 1)
@@ -794,41 +796,48 @@ class TestCheapestFirst:
         RZ = restriction_image_matrix(gl2.presentation, gl2.assignment.rep(n),
                                       gl2.words)
         smith = smith_normal_form(coboundary_matrix(sa.rep(n)))
-        # B_sub has 2(n + 1) rows and n + 1 columns
-        for u, m in zip(smith.U.data, smith.diagonal() + [0] * (n + 1)):
-            ub = sum(x * y for x, y in zip(u, b.stacked()))
-            if m != 1 and (m == 0) == exact and (ub % m if m else ub) and any(
-                    x % m if m else x for x in RZ.transpose().mulvec(u)):
+        for u in smith.U.data[smith.rank():]:
+            if sum(x * y for x, y in zip(u, b.stacked())) and any(
+                    RZ.transpose().mulvec(u)):
                 break
         else:
             pytest.fail("no such row at degree %d" % n)
-        payload["overgroups"][0]["refutation"].update(functional=u,
-                                                      modulus=m)
-        return payload, u, m, b
+        payload["overgroups"][0]["refutation"]["functional"] = u
+        return payload, u, b
 
-    def test_functional_failing_only_on_the_restriction(self, relator_calls):
-        # u.b != 0 and u.B_sub = 0 (mod m), but u.RZ != 0 (mod m), so only
-        # the last, costliest test refutes it.  At odd degree the free-lift
-        # overgroups restrict into B_sub rationally, so this uses b_a at
-        # n = 6 under gl2, whose restricted classes are not all coboundaries.
-        payload, u, m, b = self.forged_ba(6, False)
+    def test_functional_failing_only_on_the_restriction(self, relator_calls,
+                                                        monkeypatch):
+        # the genuine b_a functional at n = 6 with modulus 3: u.b = -1 and
+        # u.B_sub = 0 (mod 3), and u.RZ = 0 exactly, but an overgroup
+        # refutation must be exact, so the last test fails before R_L or
+        # any kernel basis is built
+        sp, sa = builtin("sl2")
+        payload = certify_nonextendable(
+            sp, sa, 6, make_ba(6, 1),
+            [TestCertificates().gl2_overgroup()]).payload
+        ref = payload["overgroups"][0]["refutation"]
+        assert ref["pairing"] % 3
+        ref["modulus"] = 3
         relator_calls.clear()
+        monkeypatch.setattr(linalg, "kernel_basis", None)
+        monkeypatch.setattr(cohomology, "kernel_basis", None)
         checks = Certificate(payload).verify()
         failed = [c for c in checks if not c["pass"]]
         assert [c["name"] for c in failed] == ["gl2 refutation"]
-        assert failed[0]["expected"] == "u.M = 0, u.b != 0 (mod %d)" % m
-        assert failed[0]["actual"] == "u.b = %d" % sum(
-            x * y for x, y in zip(u, b.stacked()))
-        assert relator_calls == ["gl2"]
+        assert failed[0]["expected"] == "u.M = 0, u.b != 0 (mod 3)"
+        assert failed[0]["actual"] == "u.b = %d" % ref["pairing"]
+        assert relator_calls == []
 
     def test_exact_functional_failing_only_on_the_restriction(
             self, relator_calls, tmp_path, monkeypatch):
-        # as above with m = 0, the route that reduces the pulled-back
+        # u.b != 0 and u.B_sub = 0, but u.RZ != 0, so only the last,
+        # costliest test refutes it: the route that reduces the pulled-back
         # functional against R_L's echelon and builds no kernel basis.  At
-        # n = 6 H^1(gl2) has rank 0, so every exact u with u.B_sub = 0
-        # kills RZ; n = 10 is the first even degree where one does not.
-        payload, u, m, b = self.forged_ba(10, True)
-        assert m == 0
+        # odd degree the free-lift overgroups restrict into B_sub
+        # rationally, and at n = 6 H^1(gl2) has rank 0, so every exact u
+        # with u.B_sub = 0 kills RZ; n = 10 is the first even degree where
+        # one does not.
+        payload, u, b = self.forged_ba(10)
         relator_calls.clear()
         monkeypatch.setattr(linalg, "kernel_basis", None)
         checks = Certificate(payload).verify()
@@ -906,8 +915,8 @@ class TestCertificates:
 
     def test_extending_class_has_no_certificate(self, restrictions):
         # b_0 at n = 2 is the restriction of a gl2 class; it pairs to 0
-        # with every kernel functional, so the writer falls back to the
-        # Smith form of [RZ | B_sub], which finds it in the lattice
+        # with every kernel functional, so the writer's refusal solves for
+        # it in the lattice of [RZ | B_sub] and finds it there
         sp, sa = builtin("sl2")
         with pytest.raises(ClaimRefused,
                            match="the class extends to overgroup 'gl2'"):
@@ -928,8 +937,27 @@ class TestCertificates:
         ref = cert.payload["refutation"]
         # a torsion class pairs to zero with every rank-defect functional,
         # so the obstruction must be a genuine congruence
-        assert ref["modulus"] >= 2
-        assert ref["pairing"] % ref["modulus"] != 0
+        assert ref["modulus"] == 2
+        assert ref["pairing"] % 2 == 1
+
+    def test_beps_certificates_refute_mod_2(self):
+        # every beps class the CLI can be asked for is outside B's column
+        # span over F_2: each certificate stores a 0/1 functional with
+        # modulus 2, and is small, as its entries are.  The writer checks
+        # the cocycle condition, so make_beps's own check is skipped.
+        gp, ga = builtin("gl2")
+        rng = random.Random(2027)
+        classes = [(n, [1] * beps_count(n)) for n in range(2, 101, 2)]
+        classes += [(n, [rng.randint(0, 1) for _ in range(beps_count(n) - 1)]
+                     + [1]) for n in sorted(rng.sample(range(2, 101, 2), 8))]
+        for n, eps in classes:
+            b = Cocycle.from_stacked(gp, _beps_column(n, eps), n + 1)
+            cert = certify_noncoboundary(gp, ga, n, b)
+            ref = cert.payload["refutation"]
+            assert ref["modulus"] == 2
+            assert set(ref["functional"]) <= {0, 1}
+            assert len(cert.to_json()) < 8000
+            assert all(c["pass"] for c in cert.verify())
 
     def test_pairing_past_the_decimal_digit_limit(self):
         # Python refuses to write an int of more than 4300 digits in
@@ -945,9 +973,9 @@ class TestCertificates:
         # json.dumps refuses such an int as well, so the certificate
         # stores it by the report's rule: decimal up to the limit, hex past
         for target, pairing in ((7, 7), (10 ** 5000, "%#x" % 10 ** 5000)):
-            ref = cohomology._refutation(IntMatrix([[0]]), [target])
-            assert ref == {"functional": [1], "modulus": 0,
-                           "pairing": pairing}
+            ok, ref = cohomology._refutes([1], 0, [target], [])
+            assert ok and ref == {"functional": [1], "modulus": 0,
+                                  "pairing": pairing}
             text = Certificate({"refutation": ref}).to_json()
             assert json.loads(text)["refutation"]["pairing"] == pairing
 
@@ -1019,7 +1047,7 @@ PRIMES_11_MOD_12 = (11, 23, 47, 59, 71, 83, 107, 131)
 @pytest.fixture
 def restrictions(monkeypatch):
     # the overgroups whose Z^1 basis is restricted, which only the
-    # writer's fallback to the Smith form of [RZ | B_sub] does
+    # writer's refusal, deciding b's membership in [RZ | B_sub], does
     calls = []
     real = cohomology.restriction_image_matrix
 
@@ -1079,10 +1107,12 @@ class TestKernelFunctional:
             assert first == second
         assert restrictions == []
 
-    def test_torsion_class_falls_back_to_a_modulus(self, restrictions):
+    def test_torsion_class_is_not_certifiable(self, restrictions):
         # a class of order 12 in H^1(sl2) at n = 4, B*V[:, i]/d_i for the
         # Smith form of B: every vector of ker(B_sub^T) pairs to 0 with it,
-        # so only the Smith form of [RZ | B_sub] refutes it, modulo 3
+        # and it is outside the lattice of [RZ | B_sub] but torsion modulo
+        # it, so no exact functional refutes it: bad input, not a refused
+        # claim
         sp, sa = builtin("sl2")
         B = coboundary_matrix(sa.rep(4))
         smith = smith_normal_form(B)
@@ -1091,11 +1121,10 @@ class TestKernelFunctional:
         b = Cocycle.from_stacked(
             sp, [x // d for x in B.mulvec(smith.V.column(i))], 5)
         assert class_order(sp, sa.rep(4), b) == 12
-        cert = certify_nonextendable(sp, sa, 4, b,
-                                     [TestCertificates().gl2_overgroup()])
-        [ref] = [og["refutation"] for og in cert.payload["overgroups"]]
-        assert ref["modulus"] == 3
-        assert all(c["pass"] for c in cert.verify())
+        with pytest.raises(ValueError, match="no exact or mod 2") as raised:
+            certify_nonextendable(sp, sa, 4, b,
+                                  [TestCertificates().gl2_overgroup()])
+        assert not isinstance(raised.value, ClaimRefused)
         assert restrictions == ["gl2"]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd, lcm
 
@@ -11,6 +12,7 @@ from modh1.linalg import (
     AbelianInvariants,
     AffineMap,
     IntMatrix,
+    _mod2_refutation,
     _primitive_kernel,
     _rational_forward,
     _smith,
@@ -323,17 +325,9 @@ def test_smith_lattice_against_brute_force():
         for _ in range(5):
             v = [rng.randint(-6, 6), rng.randint(-6, 6)]
             x = lattice.coords(v)
-            ref = lattice.refute(v)
-            assert (x is not None) == (tuple(v) in members) == (ref is None)
+            assert (x is not None) == (tuple(v) in members)
             if x is not None:
                 assert a.mulvec(x) == v
-            else:
-                u, m = ref
-                ua = [sum(ui * row[j] for ui, row in zip(u, a.data))
-                      for j in range(a.cols)]
-                uv = sum(ui * vi for ui, vi in zip(u, v))
-                assert all(y % m == 0 for y in ua) if m else not any(ua)
-                assert (uv % m if m else uv) != 0
             m = lattice.order(v)
             multiples = [lattice.coords([k * y for y in v])
                          for k in range(1, 7 if m is None else m + 1)]
@@ -513,8 +507,8 @@ def test_row_echelon(a, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(a=st.one_of(int_matrices(), deficient_matrices()), data=st.data())
 def test_kills_kernel_exactly_on_the_row_space(a, data):
-    # m = 0 reduces v against a's echelon; sympy's rational nullspace is
-    # the oracle.  v is an integer combination of a's rows, which kills
+    # kills_kernel reduces v against a's echelon; sympy's rational
+    # nullspace is the oracle.  v is an integer combination of a's rows, which kills
     # the kernel, or such a combination with one entry moved.
     c = data.draw(st.lists(st.integers(-5, 5), min_size=a.rows,
                            max_size=a.rows))
@@ -524,7 +518,27 @@ def test_kills_kernel_exactly_on_the_row_space(a, data):
             st.integers(1, 9))
     kills = all(sum(x * y for x, y in zip(v, n)) == 0
                 for n in sym(a).nullspace())
-    assert kills_kernel(a, v, 0) == kills
+    assert kills_kernel(a, v) == kills
+
+
+def test_mod2_refutation_against_brute_force():
+    # b lies in the F_2 column span of a exactly when some 0/1 combination
+    # of a's columns is b mod 2; otherwise the helper's u is a 0/1 vector
+    # with u.a = 0 and u.b = 1 (mod 2)
+    rng = random.Random(11)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 5)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(cols)]
+                       for _ in range(rows)], cols=cols)
+        b = [rng.randint(-3, 3) for _ in range(rows)]
+        span = {tuple(y % 2 for y in a.mulvec(x))
+                for x in itertools.product((0, 1), repeat=cols)}
+        u = _mod2_refutation(a, b)
+        assert (u is None) == (tuple(y % 2 for y in b) in span)
+        if u is not None:
+            assert len(u) == rows and set(u) <= {0, 1}
+            assert all(y % 2 == 0 for y in a.transpose().mulvec(u))
+            assert sum(x * y for x, y in zip(u, b)) % 2 == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

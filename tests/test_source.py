@@ -155,8 +155,9 @@ def test_fox_jacobian_only_builds_the_relator_matrix():
 def test_certificate_recheck_builds_no_restricted_basis():
     # the writer and the re-check test u.RZ as v.Z, with v pulled back to
     # the overgroup, through one helper that builds neither Z^1 nor RZ;
-    # only the writer's fallback, for a class the kernel functional does
-    # not refute, restricts a Z^1 basis of the overgroup
+    # only the writer's refusal path, for a class the kernel functional
+    # does not refute, restricts a Z^1 basis of the overgroup, to decide
+    # with solve_integer whether the class extends
     callers, _ = callers_and_modules("restriction_image_matrix")
     assert sorted(callers) == [("cohomology.py", "certify_nonextendable"),
                                ("cohomology.py", "restriction_cokernel")]
@@ -166,6 +167,27 @@ def test_certificate_recheck_builds_no_restricted_basis():
     assert sorted(callers) == [("cohomology.py", "Certificate"),
                                ("cohomology.py", "certify_nonextendable")]
     assert named == {"cohomology.py"}
+
+
+def test_certificates_refute_without_smith_or_kernel_basis():
+    # refutations are exact or mod 2 functionals: the writers and the
+    # re-check name no kernel basis and no Smith form, and only the
+    # writers' shared refusal decides membership, with solve_integer
+    cohomology = dict(module_trees())["cohomology.py"]
+    for node in cohomology.body:
+        if getattr(node, "name", None) in ("Certificate",
+                                           "certify_nonextendable",
+                                           "certify_noncoboundary"):
+            names = {getattr(sub, "id", getattr(sub, "attr", None))
+                     for sub in ast.walk(node)}
+            assert not names & {"kernel_basis", "smith_normal_form",
+                                "_refutation", "solve_integer"}, node.name
+    callers, _ = callers_and_modules("solve_integer")
+    assert sorted(c for c in callers if c[0] == "cohomology.py") == [
+        ("cohomology.py", "_refuse"), ("cohomology.py", "class_order")]
+    callers, _ = callers_and_modules("_refuse")
+    assert sorted(callers) == [("cohomology.py", "certify_noncoboundary"),
+                               ("cohomology.py", "certify_nonextendable")]
 
 
 def test_one_reading_of_a_saturated_quotient():
