@@ -26,6 +26,7 @@ from .cohomology import (
     Certificate,
     ClaimRefused,
     Cocycle,
+    certify_membership_sample,
     certify_nonextendable,
     certify_noncoboundary,
     check_degree,
@@ -39,7 +40,6 @@ from .cohomology import (
     w_invariant_h1_rank,
 )
 from .congruence import (
-    certify_membership_sample,
     find_torsion,
     lift_to_sl2,
     schreier_free_basis,
@@ -156,17 +156,8 @@ def _parse_range(text):
 
 
 def _job_count(args):
-    """Worker count from --jobs or MODH1_JOBS, clamped to 1..cpu_count."""
-    jobs = getattr(args, "jobs", None)
-    if not jobs:
-        env = os.environ.get("MODH1_JOBS", "")
-        if not env.strip():
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError("MODH1_JOBS must be an integer, got %r" % env)
-    return max(1, min(jobs, os.cpu_count() or 1))
+    """Worker count from --jobs, clamped to 1..cpu_count."""
+    return max(1, min(args.jobs or 1, os.cpu_count() or 1))
 
 
 def _pmap(fn, items, jobs):
@@ -693,7 +684,7 @@ def _build_parser():
     p.add_argument("--count", type=int, default=200,
                    help="corpus size for the amenable suite")
     p.add_argument("--jobs", type=int,
-                   help="worker processes (default MODH1_JOBS or 1)")
+                   help="worker processes (default 1)")
     common(p)
 
     p = sub.add_parser("witness", help="build and self-verify a certificate",

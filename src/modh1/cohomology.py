@@ -12,8 +12,9 @@ replaced by the restriction image beside B.  class_order reads the order
 of one given class by a second route, in coordinates of a kernel basis
 of Z^1.  Everything is exact.
 
-A certify_* function raises ClaimRefused, a ValueError, when its claim is
-false; any other ValueError it raises is bad input.
+Every certificate kind, the congruence membership sample too, is written,
+priced and re-checked here.  A certify_* function raises ClaimRefused, a
+ValueError, when its claim is false; any other ValueError is bad input.
 
 The closed forms at the end of the module give the expected free ranks for
 the projective modular group and its extension by the swap, together with
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 
+from .congruence import _sample_record
 from .linalg import (
     AbelianInvariants,
     IntMatrix,
@@ -279,8 +281,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
     target = cocycle.stacked()
     coboundaries = _kills(B_sub)
     u = _smallest_pairing(_primitive_kernel(B_sub.transpose()), target)
-    payload["overgroups"] = entries = []
-    for og in overgroups:
+    for og, entry in zip(overgroups, payload["overgroups"]):
         ok = u is not None
         if ok:
             restricted = _restriction_test(og.presentation, og.assignment,
@@ -291,11 +292,7 @@ def certify_nonextendable(sub_presentation, sub_assignment, n, cocycle,
                                           og.assignment.rep(n), og.words)
             _refuse(hstack([RZ, B_sub]), target,
                     "the class extends to overgroup %r" % og.name)
-        entry = _presentation_payload(og.presentation, og.assignment)
-        entry.update(name=og.name, refutation=refutation,
-                     embedding=[w.format(og.presentation.generators)
-                                for w in og.words])
-        entries.append(entry)
+        entry["refutation"] = refutation
     return Certificate(payload)
 
 
@@ -338,15 +335,48 @@ def certify_noncoboundary(presentation, assignment, n, cocycle):
     return Certificate(payload)
 
 
+def certify_membership_sample(N, seed=0, count=10000, max_length=20):
+    """A re-runnable record that the cocycle characterization held.
+
+    The certificate pins the sampling scheme of congruence._sample_words
+    and the sha256 digest of the sampled matrices; verification
+    regenerates the same words, compares the digest and recounts.  This is
+    evidence, not proof, but the full equivalence is a short determinant
+    argument either way.
+    """
+    check_sample_fields(N, count, max_length)
+    mismatches, digest = _sample_record(N, seed, count, max_length)
+    if mismatches:
+        raise ClaimRefused("characterization failed on %d words" % mismatches)
+    return Certificate({
+        "format": CERTIFICATE_FORMAT,
+        "kind": "membership-sample",
+        "modulus": N,
+        "seed": seed,
+        "count": count,
+        "max_length": max_length,
+        "mismatches": 0,
+        "sample_sha256": digest,
+    })
+
+
 def _claim(kind, presentation, assignment, n, cocycle, overgroups=()):
-    # rho_n and the shared payload fields, once budget and cocycle check out
-    check_cost(check_degree(n), certificate_letters(presentation, overgroups))
+    # rho_n and the payload but for its refutations, once the payload's
+    # letters are within the re-check's budget and the cocycle checks out
+    payload = {"format": CERTIFICATE_FORMAT, "kind": kind, "degree": n,
+               "subgroup": _presentation_payload(presentation, assignment),
+               "cocycle": {"values": [list(v) for v in cocycle.values]}}
+    if kind == "nonextendable":
+        payload["overgroups"] = [
+            dict(_presentation_payload(og.presentation, og.assignment),
+                 name=og.name, embedding=[w.format(og.presentation.generators)
+                                          for w in og.words])
+            for og in overgroups]
+    check_cost(check_degree(n), _payload_letters(payload))
     rep = assignment.rep(n)
     if not _is_cocycle(presentation, rep, cocycle):
         raise ValueError("not a cocycle")
-    return rep, {"format": CERTIFICATE_FORMAT, "kind": kind, "degree": n,
-                 "subgroup": _presentation_payload(presentation, assignment),
-                 "cocycle": {"values": [list(v) for v in cocycle.values]}}
+    return rep, payload
 
 
 CERTIFICATE_FORMAT = "modh1-certificate-1"
@@ -369,6 +399,12 @@ CERT_MAX_DEGREE = 120
 # gl2 relators, embedding words s, t).
 CERT_MAX_COST = 30 * (CERT_MAX_DEGREE + 1) ** 3
 
+# A membership sample costs about count * max_length / 2 matrix products;
+# these bounds keep the recount of an untrusted certificate to seconds.
+SAMPLE_MAX_MODULUS = 10 ** 9
+SAMPLE_MAX_COUNT = 10 ** 5
+SAMPLE_MAX_LENGTH = 100
+
 
 def check_degree(n):
     """n if it is a non-bool int in [0, CERT_MAX_DEGREE], else ValueError."""
@@ -386,17 +422,22 @@ def check_cost(n, letters):
                          "of %d" % (letters, n, cost, CERT_MAX_COST))
 
 
-def certificate_letters(sub_presentation, overgroups=()):
-    """Letters in the relators and embedding words a certificate stores."""
-    words = list(sub_presentation.relators)
-    for og in overgroups:
-        words += og.presentation.relators + og.words
-    return sum(len(w) for w in words)
+def check_sample_fields(N, count, max_length):
+    """Raise ValueError unless the sample parameters are within bounds."""
+    for name, value, lo, hi in (("modulus", N, 1, SAMPLE_MAX_MODULUS),
+                                ("count", count, 1, SAMPLE_MAX_COUNT),
+                                ("max_length", max_length, 1,
+                                 SAMPLE_MAX_LENGTH)):
+        if not lo <= value <= hi:
+            raise ValueError("%s must lie in [%d, %d], got %d"
+                             % (name, lo, hi, value))
 
 
 def _payload_letters(payload):
-    # certificate_letters of a payload, counted from the text, parsing only
-    # tokens with ^, so that an exponent like s^1000000000 is not expanded
+    # letters in the relators and embedding words of a payload, the one
+    # count the writer and the re-check price: each token is a letter,
+    # the empty word's "1" too, and only a token with ^ is parsed, so that
+    # an exponent like s^1000000000 is not expanded
     texts = list(payload["subgroup"]["relators"])
     for og in payload.get("overgroups", ()):
         texts += og["relators"] + og["embedding"]
@@ -462,15 +503,33 @@ class Certificate:
             check("format", False, CERTIFICATE_FORMAT, fmt)
             return checks
         if p.get("kind") == "membership-sample":
-            # deferred: the congruence module re-runs the sampled word test
-            from .congruence import verify_membership_sample_payload
-            verify_membership_sample_payload(p, check)
+            self._verify_membership_sample(check)
             return checks
         try:
             self._verify_claims(check)
         except TypeError as e:
             check("payload fields", False, actual=repr(e))
         return checks
+
+    def _verify_membership_sample(self, check):
+        # re-run the sampled word test and compare its count and digest
+        p = self.payload
+        try:
+            fields = [p[k] for k in ("modulus", "seed", "count",
+                                     "max_length", "mismatches")]
+            if any(type(x) is not int for x in fields):  # no bool, float, str
+                raise TypeError("integer fields required, got %r" % (fields,))
+            N, seed, count, max_length, claimed = fields
+            digest = str(p["sample_sha256"])
+            check_sample_fields(N, count, max_length)
+        except (KeyError, TypeError, ValueError) as e:
+            check("payload fields", False, actual=repr(e))
+            return
+        check("claimed mismatch count", claimed == 0, 0, claimed)
+        recount, sampled = _sample_record(N, seed, count, max_length)
+        check("recounted mismatches", recount == claimed, claimed, recount)
+        # the digest ties the seed to the words it draws
+        check("sampled words digest", sampled == digest, digest, sampled)
 
     def _verify_claims(self, check):
         p = self.payload

@@ -4,6 +4,8 @@ Gamma_0(N) and Gamma_1(N) membership, the fractional cocycle that
 characterizes Gamma_1(N), coset tables of the projective Gamma_0-bar(p)
 through the action on the projective line over F_p, torsion obstructions,
 and Schreier free bases with their lifts into the integer matrix group.
+The sampled membership test lives here; cohomology writes and re-checks
+its certificate, and this module imports nothing from cohomology.
 """
 
 from __future__ import annotations
@@ -388,24 +390,6 @@ def _sample_words(seed, count, max_length):
         yield g
 
 
-# A sample costs about count * max_length / 2 matrix products; these
-# bounds keep the recount of an untrusted certificate to seconds.
-SAMPLE_MAX_MODULUS = 10 ** 9
-SAMPLE_MAX_COUNT = 10 ** 5
-SAMPLE_MAX_LENGTH = 100
-
-
-def check_sample_fields(N, count, max_length):
-    """Raise ValueError unless the sample parameters are within bounds."""
-    for name, value, lo, hi in (("modulus", N, 1, SAMPLE_MAX_MODULUS),
-                                ("count", count, 1, SAMPLE_MAX_COUNT),
-                                ("max_length", max_length, 1,
-                                 SAMPLE_MAX_LENGTH)):
-        if not lo <= value <= hi:
-            raise ValueError("%s must lie in [%d, %d], got %d"
-                             % (name, lo, hi, value))
-
-
 def _sample_record(N, seed, count, max_length):
     # (mismatch count, sha256 hex digest of the sampled matrices' entries);
     # hashlib loads OpenSSL, about 3.6 MB resident, so only samples pay it
@@ -424,50 +408,3 @@ def _sample_record(N, seed, count, max_length):
 def membership_mismatches(N, seed=0, count=10000, max_length=20):
     """Count sampled words where bN integrality and membership disagree."""
     return _sample_record(N, seed, count, max_length)[0]
-
-
-def certify_membership_sample(N, seed=0, count=10000, max_length=20):
-    """A re-runnable record that the cocycle characterization held.
-
-    The certificate pins the sampling scheme and the sha256 digest of the
-    sampled matrices; verification regenerates the same words, compares
-    the digest and recounts.  This is evidence, not proof, but the full
-    equivalence is a short determinant argument either way.
-    """
-    from .cohomology import CERTIFICATE_FORMAT, Certificate, ClaimRefused
-
-    check_sample_fields(N, count, max_length)
-    mismatches, digest = _sample_record(N, seed, count, max_length)
-    if mismatches:
-        raise ClaimRefused("characterization failed on %d words" % mismatches)
-    payload = {
-        "format": CERTIFICATE_FORMAT,
-        "kind": "membership-sample",
-        "modulus": N,
-        "seed": seed,
-        "count": count,
-        "max_length": max_length,
-        "mismatches": 0,
-        "sample_sha256": digest,
-    }
-    return Certificate(payload)
-
-
-def verify_membership_sample_payload(payload, check):
-    """Re-run a sampled membership certificate, reporting through check()."""
-    try:
-        fields = [payload[k] for k in ("modulus", "seed", "count",
-                                       "max_length", "mismatches")]
-        if any(type(x) is not int for x in fields):  # no bool, float, str
-            raise TypeError("integer fields required, got %r" % (fields,))
-        N, seed, count, max_length, claimed = fields
-        digest = str(payload["sample_sha256"])
-        check_sample_fields(N, count, max_length)
-    except (KeyError, TypeError, ValueError) as e:
-        check("payload fields", False, actual=repr(e))
-        return
-    check("claimed mismatch count", claimed == 0, 0, claimed)
-    recount, sampled = _sample_record(N, seed, count, max_length)
-    check("recounted mismatches", recount == claimed, claimed, recount)
-    # the digest ties the seed to the words it draws
-    check("sampled words digest", sampled == digest, digest, sampled)

@@ -50,10 +50,16 @@ class Word:
 
     @classmethod
     def parse(cls, text, generators):
-        """Parse a whitespace separated word like 's t^-1 s' or 'S^2 T'."""
+        """Parse a whitespace separated word like 's t^-1 s' or 'S^2 T'.
+
+        "1", the text format writes for the empty word, parses to it.
+        """
+        tokens = text.split()
+        if tokens == ["1"]:
+            return _word(())
         index = {name: i for i, name in enumerate(generators)}
         letters = []
-        for token in text.split():
+        for token in tokens:
             if "^" in token:
                 name, _, exp = token.partition("^")
                 power = int(exp)

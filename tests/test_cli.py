@@ -223,22 +223,20 @@ class TestVerifySuites:
                                         "--n-even", "2..12", "--jobs", "2"])
         assert serial["checks"] == parallel["checks"]
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+    def test_jobs_clamped_to_cpu_count(self):
         # _job_count only computes the number; no pool is started here
         cpus = os.cpu_count() or 1
         assert _job_count(argparse.Namespace(jobs=100000)) == cpus
         assert _job_count(argparse.Namespace(jobs=-3)) == 1
-        monkeypatch.setenv("MODH1_JOBS", "100000")
-        assert _job_count(argparse.Namespace(jobs=None)) == cpus
-        monkeypatch.setenv("MODH1_JOBS", "0")
         assert _job_count(argparse.Namespace(jobs=None)) == 1
 
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
+    def test_jobs_only_from_the_flag(self, capsys, monkeypatch):
+        # --jobs is the one worker-count knob: the environment is not read
         monkeypatch.setenv("MODH1_JOBS", "2")
         code, payload = run_json(capsys, ["verify", "--suite", "identity",
                                           "--n-max", "12"])
         assert code == 0
-        assert payload["params"]["jobs"] == 2
+        assert payload["params"]["jobs"] == 1
 
     def test_empty_sweep_fails(self, capsys):
         code, payload = run_json(capsys, ["verify", "--suite", "formulas",

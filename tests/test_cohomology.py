@@ -38,7 +38,6 @@ from modh1.cohomology import (
     beps_relation_lattice,
     certify_noncoboundary,
     certify_nonextendable,
-    certificate_letters,
     check_cost,
     check_degree,
     class_order,
@@ -887,6 +886,19 @@ class TestCertificates:
         assert "cocycle condition" in names
         assert "gl2 refutation" in names
 
+    def test_empty_embedding_word_roundtrip(self):
+        # an overgroup embedding the empty word is written as "1", which
+        # the re-check reads back as the empty word
+        sub = Presentation("one", ("x",), ())
+        sl2, sl2_assign = builtin("sl2")
+        cert = certify_nonextendable(
+            sub, MatrixAssignment([Mat2.identity()]), 2,
+            Cocycle(sub, [[1, 0, 0]]),
+            [Overgroup("sl2", sl2, sl2_assign, [Word()])])
+        assert cert.payload["overgroups"][0]["embedding"] == ["1"]
+        checks = Certificate.from_json(cert.to_json()).verify()
+        assert checks and all(c["pass"] for c in checks)
+
     def test_torsion_multiple_extends(self):
         # 2 b_a extends rationally only if the membership solve succeeds;
         # at n = 2 the swap extension has rank 0, so even 2 b_a must fail
@@ -998,26 +1010,43 @@ class TestCertificates:
                                   [self.gl2_overgroup()])
         assert not isinstance(raised.value, ClaimRefused)
 
-    def test_cost_budget(self):
+    def test_cost_budget(self, capsys, tmp_path, monkeypatch):
         # the budget is that of ba:120,1, the costliest certificate the CLI
-        # writes, so every ba and beps degree stays within it
+        # writes, counted by the one _payload_letters off the written payload
         sp, sa = builtin("sl2")
-        gp, _ = builtin("gl2")
-        letters = certificate_letters(sp, [self.gl2_overgroup()])
+        b = make_ba(CERT_MAX_DEGREE, 1)
+        cert = certify_nonextendable(sp, sa, CERT_MAX_DEGREE, b,
+                                     [self.gl2_overgroup()])
+        letters = _payload_letters(cert.payload)
         assert letters == 30
         assert letters * (CERT_MAX_DEGREE + 1) ** 3 == CERT_MAX_COST
+        assert all(c["pass"] for c in cert.verify())
         check_cost(CERT_MAX_DEGREE, letters)
-        check_cost(CERT_MAX_DEGREE, certificate_letters(gp))
         with pytest.raises(ValueError, match="budget"):
             check_cost(CERT_MAX_DEGREE, letters + 1)
-        # a costlier overgroup is refused before anything is built
-        long_word = gp.parse_word("s t " * 8)
-        costly = Overgroup("gl2", gp, builtin("gl2")[1],
-                           [long_word, long_word])
-        with pytest.raises(ValueError, match="budget") as raised:
-            certify_nonextendable(sp, sa, CERT_MAX_DEGREE, make_ba(2, 1),
-                                  [costly])
+        # one letter more, the gl2 relator s^4 written as t^3 s^2, is
+        # refused by the writer before anything is built, as bad input
+        gp, ga = builtin("gl2")
+        longer = Presentation("gl2", gp.generators,
+                              (gp.parse_word("t^3 s^2"),) + gp.relators[1:])
+        costly = Overgroup("gl2", longer, ga,
+                           [gp.parse_word("s"), gp.parse_word("t")])
+        with pytest.raises(ValueError, match="over the budget") as raised:
+            certify_nonextendable(sp, sa, CERT_MAX_DEGREE, b, [costly])
         assert not isinstance(raised.value, ClaimRefused)
+        monkeypatch.setattr("modh1.cli._gl2_overgroup", lambda: costly)
+        assert main(["witness", "--kind", "ba:%d,1" % CERT_MAX_DEGREE,
+                     "--cert", str(tmp_path / "x.json")]) == 2
+        assert "over the budget" in capsys.readouterr().err
+        # written with the budget raised by hand, the re-check refuses it
+        monkeypatch.setattr(cohomology, "CERT_MAX_COST", 2 * CERT_MAX_COST)
+        over = certify_nonextendable(sp, sa, CERT_MAX_DEGREE, b, [costly])
+        assert _payload_letters(over.payload) == letters + 1
+        monkeypatch.undo()
+        checks = over.verify()
+        assert [(c["name"], c["pass"]) for c in checks] == [
+            ("payload fields", False)]
+        assert "over the budget" in checks[0]["actual"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(WORD_TEXTS, max_size=4), min_size=3,

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import modh1.congruence
+import modh1.cohomology
 from modh1.cohomology import CERTIFICATE_FORMAT, Certificate, ClaimRefused, \
-    Cocycle, h1, certify_nonextendable
+    Cocycle, h1, certify_membership_sample, certify_nonextendable
 from modh1.congruence import (
     CosetTable,
     FreeBasis,
@@ -27,7 +27,6 @@ from modh1.congruence import (
     _syllables_to_word,
     _word_to_syllables,
     bN,
-    certify_membership_sample,
     coset_table,
     find_torsion,
     gamma1_member,
@@ -147,7 +146,7 @@ class TestMembership:
         assert not isinstance(raised.value, ClaimRefused)
 
     def test_mismatching_sample_is_refused(self, monkeypatch):
-        monkeypatch.setattr(modh1.congruence, "_sample_record",
+        monkeypatch.setattr(modh1.cohomology, "_sample_record",
                             lambda *args: (2, "0" * 64))
         with pytest.raises(ClaimRefused,
                            match="characterization failed on 2 words"):

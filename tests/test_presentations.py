@@ -27,8 +27,16 @@ def test_word_parse_and_format():
     assert w.letters == ((0, 1), (1, -1), (1, -1), (0, 1), (0, 1), (0, 1))
     assert w.format(gens) == "s t^-1 t^-1 s s s"
     assert Word.parse("", gens) == Word()
+    # format writes the empty word as "1", and parse reads it back
+    assert Word().format(gens) == "1"
+    assert Word.parse(" 1 ", gens) == Word()
     assert (w * w.inverse()).letters[:2] == w.letters[:2]
     assert w.inverse().inverse() == w
+    rng = random.Random(5)
+    for _ in range(200):
+        v = Word([(rng.randrange(2), rng.choice((1, -1)))
+                  for _ in range(rng.randrange(6))])
+        assert Word.parse(v.format(gens), gens) == v
 
 
 def test_word_refuses_a_bad_sign():

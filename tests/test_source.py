@@ -4,23 +4,35 @@ import ast
 import pathlib
 import re
 import sys
+from functools import lru_cache
 
 import modh1
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+
+@lru_cache(maxsize=None)
 def module_trees():
+    # (file name, syntax tree) of each module, read and parsed once
     sources = sorted(pathlib.Path(modh1.__file__).parent.glob("*.py"))
     assert {p.name for p in sources} >= {"linalg.py", "cohomology.py",
                                          "cli.py"}
-    for path in sources:
-        yield path.name, ast.parse(path.read_text(encoding="utf-8"),
-                                   filename=str(path))
+    return tuple((path.name, ast.parse(path.read_text(encoding="utf-8"),
+                                       filename=str(path)))
+                 for path in sources)
+
+
+@lru_cache(maxsize=None)
+def module_nodes():
+    # (file name, every node of its tree) of each module, walked once
+    return tuple((name, tuple(ast.walk(tree)))
+                 for name, tree in module_trees())
 
 
 def test_no_assert_statements():
     # python -O strips assert, so internal consistency checks must raise
     found = ["%s:%d" % (name, node.lineno)
-             for name, tree in module_trees() for node in ast.walk(tree)
+             for name, nodes in module_nodes() for node in nodes
              if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -29,8 +41,8 @@ def test_stdlib_only_imports():
     # the library depends on nothing outside the standard library; its own
     # modules are imported relatively
     found = []
-    for name, tree in module_trees():
-        for node in ast.walk(tree):
+    for name, nodes in module_nodes():
+        for node in nodes:
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -61,20 +73,19 @@ def test_public_names_have_callers():
     # a public function, class, method or property stays only while
     # something names it besides its own definition: the library, the
     # README or the acceptance gate, so test-only API does not grow back
-    root = pathlib.Path(__file__).resolve().parents[1]
-    docs = " ".join((root / name).read_text(encoding="utf-8")
+    docs = " ".join((ROOT / name).read_text(encoding="utf-8")
                     for name in ("README.md", "tests/test_acceptance.py"))
-    defined, named = [], set(re.findall(r"\w+", docs))
-    for module, tree in module_trees():
-        defined.extend((module, dotted, name)
-                       for dotted, name in public_definitions(tree))
-        for node in ast.walk(tree):
+    named = set(re.findall(r"\w+", docs))
+    for _, nodes in module_nodes():
+        for node in nodes:
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    defined = [(module, dotted, name) for module, tree in module_trees()
+               for dotted, name in public_definitions(tree)]
     assert [d[:2] for d in defined if d[2] not in named] == []
 
 
@@ -82,18 +93,14 @@ def test_function_local_imports_are_pinned():
     # an import inside a function breaks an import cycle or defers a costly
     # load; each one left is pinned here with its reason
     pinned = {
-        # Certificate.verify hands membership samples to congruence, which
-        # imports cohomology for the certificate type
-        ("cohomology.py", "verify", "congruence"),
-        ("congruence.py", "certify_membership_sample", "cohomology"),
         # hashlib loads OpenSSL, about 3.6 MB resident; only samples pay it
         ("congruence.py", "_sample_record", "hashlib"),
         # the process pool costs about 2 MB resident; only --jobs > 1 pays it
         ("cli.py", "_pmap", "concurrent.futures"),
     }
     found = set()
-    for module, tree in module_trees():
-        for func in ast.walk(tree):
+    for module, nodes in module_nodes():
+        for func in nodes:
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
@@ -105,11 +112,55 @@ def test_function_local_imports_are_pinned():
     assert found == pinned
 
 
+def test_import_graph_has_no_cycle():
+    # no module reaches itself through the package's relative imports,
+    # function-local ones included
+    modules = {name[:-3] for name, _ in module_trees()}
+    graph = {m: set() for m in modules}
+    for name, nodes in module_nodes():
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = ({node.module} if node.module
+                           else {alias.name for alias in node.names})
+                graph[name[:-3]] |= targets & modules
+    cyclic = []
+    for start in sorted(modules):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo.extend(graph[m])
+        if start in seen:
+            cyclic.append(start)
+    assert cyclic == []
+
+
+def test_certificates_have_one_owner():
+    # cohomology writes, prices and re-checks every certificate kind;
+    # congruence keeps the sampler and no certificate code
+    assert not names_by_module()["congruence.py"] & {
+        "Certificate", "CERTIFICATE_FORMAT", "ClaimRefused"}
+
+
+def test_writer_and_recheck_count_letters_one_way():
+    # the writer prices a payload by the re-check's own count, and no
+    # second count of Word objects is left
+    assert not any("certificate_letters" in names
+                   for names in names_by_module().values())
+    assert "certificate_letters" not in (ROOT / "README.md").read_text(
+        encoding="utf-8")
+    callers, named = callers_and_modules("_payload_letters")
+    assert sorted(callers) == [("cohomology.py", "Certificate"),
+                               ("cohomology.py", "_claim")]
+    assert named == {"cohomology.py"}
+
+
 def test_trusted_constructor_stays_in_linalg():
     # IntMatrix._of neither copies nor checks its rows, so matrices built
     # from certificate JSON, CLI input or other modules go through the
     # checked IntMatrix constructor
-    callers = {name for name, tree in module_trees() for node in ast.walk(tree)
+    callers = {name for name, nodes in module_nodes() for node in nodes
                if isinstance(node, ast.Attribute) and node.attr == "_of"}
     assert callers == {"linalg.py"}
 
@@ -123,23 +174,32 @@ def test_trusted_2x2_and_word_constructors_stay_home():
         assert named == {home}
 
 
+@lru_cache(maxsize=None)
+def names_by_module():
+    # module -> every id, attr and name its nodes carry
+    return {module: {getattr(node, key) for node in nodes
+                     for key in ("id", "attr", "name")
+                     if isinstance(getattr(node, key, None), str)}
+            for module, nodes in module_nodes()}
+
+
+@lru_cache(maxsize=None)
+def top_level_calls():
+    # (module, top-level definition, called id, called attr) of each call
+    return tuple((module, node.name, getattr(sub.func, "id", None),
+                  getattr(sub.func, "attr", None))
+                 for module, tree in module_trees() for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 for sub in ast.walk(node) if isinstance(sub, ast.Call))
+
+
 def callers_and_modules(name):
     # (module, top-level definition) of every call to name, and the
     # modules that name it at all
-    callers, named = [], set()
-    for module, tree in module_trees():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                for sub in ast.walk(node):
-                    if (isinstance(sub, ast.Call)
-                            and name in (getattr(sub.func, "id", None),
-                                         getattr(sub.func, "attr", None))):
-                        callers.append((module, node.name))
-        for node in ast.walk(tree):
-            if name in (getattr(node, "id", None),
-                        getattr(node, "attr", None),
-                        getattr(node, "name", None)):
-                named.add(module)
+    callers = [(module, defn) for module, defn, called_id, called_attr
+               in top_level_calls() if name in (called_id, called_attr)]
+    named = {module for module, names in names_by_module().items()
+             if name in names}
     return callers, named
 
 
@@ -260,12 +320,13 @@ def test_defaults_are_passed():
     # an option whose default is the only value ever passed is a constant:
     # each defaulted parameter is passed, by keyword or by position, in
     # some call in the library or the acceptance gate
-    root = pathlib.Path(__file__).resolve().parents[1]
     trees = dict(module_trees())
     calls = {}  # called name -> positions and keywords passed
-    for tree in list(trees.values()) + [ast.parse(
-            (root / "tests/test_acceptance.py").read_text(encoding="utf-8"))]:
-        for node in ast.walk(tree):
+    acceptance = ast.parse((ROOT / "tests/test_acceptance.py").read_text(
+        encoding="utf-8"))
+    for nodes in [nodes for _, nodes in module_nodes()] + [
+            tuple(ast.walk(acceptance))]:
+        for node in nodes:
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr",
                                                         None))
